@@ -341,8 +341,7 @@ fn torn_frame(soak: &mut Soak<'_>) -> io::Result<()> {
             trace: soak_trace(i).into_bytes(),
         }
         .encode();
-        let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
-        framed.extend_from_slice(&payload);
+        let framed = crate::protocol::frame(&payload)?;
         let cut = soak.rng.nonzero_below(framed.len());
         let mut rogue = TcpStream::connect(&harness.addr)?;
         rogue.write_all(&framed[..cut])?;

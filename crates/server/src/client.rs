@@ -14,7 +14,7 @@
 //! by content digest, so a retry after a lost response is answered from
 //! the cache instead of re-running the analysis.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -22,26 +22,7 @@ use std::time::{Duration, Instant};
 
 use droidracer_core::{AnalysisService, JobReport, JobSpec};
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
-
-trait Conn: Read + Write + Send {
-    /// Applies `timeout` to both reads and writes (`None` blocks forever).
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
+use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
 
 /// Where the client (re)connects to.
 #[derive(Debug, Clone)]
@@ -270,7 +251,7 @@ impl Client {
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> io::Result<Self> {
         self.rng = policy.seed | 1;
         if let Some(conn) = &self.conn {
-            conn.set_io_timeout(policy.io_timeout_ms.map(Duration::from_millis))?;
+            conn.configure(policy.io_timeout_ms.map(Duration::from_millis))?;
         }
         self.policy = policy;
         Ok(self)
@@ -293,7 +274,8 @@ impl Client {
     }
 
     /// Drops any existing connection and dials a fresh one, applying the
-    /// policy's connect and I/O timeouts.
+    /// policy's connect and I/O timeouts (and `TCP_NODELAY` on TCP, so
+    /// reconnects get it too).
     fn reconnect(&mut self) -> io::Result<()> {
         self.conn = None;
         let conn: Box<dyn Conn> = match &self.addr {
@@ -314,7 +296,7 @@ impl Client {
             }
             Addr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
-        conn.set_io_timeout(self.policy.io_timeout_ms.map(Duration::from_millis))?;
+        conn.configure(self.policy.io_timeout_ms.map(Duration::from_millis))?;
         self.conn = Some(conn);
         Ok(())
     }

@@ -47,13 +47,13 @@
 //! `key=value` lines.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use droidracer_core::{
     run_isolated, AnalysisService, ExitClass, FaultHook, ItemError, JobReport, JobSpec,
@@ -61,7 +61,7 @@ use droidracer_core::{
 };
 use droidracer_obs::{MetricsRegistry, MetricValue, Recorder};
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
 use crate::store::{job_key, ResultStore, WalStore};
 
 /// The retry-after hint sent with [`Response::Overloaded`].
@@ -189,24 +189,39 @@ impl Shared {
             .counter_add(key, delta);
     }
 
-    /// Renders the status snapshot: global `srv.*` counters first, then
-    /// `tenant.<name>.<counter>` lines, all sorted (BTreeMap order).
+    fn observe(&self, key: &str, value: u64) {
+        self.metrics.lock().unwrap().observe(key, value);
+    }
+
+    /// Renders the status snapshot: global `srv.*` metrics first, then
+    /// `tenant.<name>.*` lines, all sorted (BTreeMap order).
     fn render_status(&self) -> String {
         let mut out = String::new();
-        for (name, value) in self.metrics.lock().unwrap().iter() {
-            if let MetricValue::Counter(v) = value {
-                out.push_str(&format!("{name}={v}\n"));
-            }
-        }
+        render_metrics(&mut out, "", &self.metrics.lock().unwrap());
         for (tenant, state) in self.tenants.lock().unwrap().iter() {
             out.push_str(&format!("tenant.{tenant}.used_ops={}\n", state.used_ops));
-            for (name, value) in state.metrics.iter() {
-                if let MetricValue::Counter(v) = value {
-                    out.push_str(&format!("tenant.{tenant}.{name}={v}\n"));
-                }
-            }
+            render_metrics(&mut out, &format!("tenant.{tenant}."), &state.metrics);
         }
         out
+    }
+}
+
+/// Appends `metrics` as integer `key=value` lines (the form
+/// [`status_counter`] parses): a counter as itself, a histogram as
+/// `<name>.count`, `<name>.p50_le` and `<name>.p99_le` — power-of-two
+/// bucket upper bounds. Gauges are skipped.
+fn render_metrics(out: &mut String, prefix: &str, metrics: &MetricsRegistry) {
+    for (name, value) in metrics.iter() {
+        match value {
+            MetricValue::Counter(v) => out.push_str(&format!("{prefix}{name}={v}\n")),
+            MetricValue::Histogram(h) => out.push_str(&format!(
+                "{prefix}{name}.count={}\n{prefix}{name}.p50_le={}\n{prefix}{name}.p99_le={}\n",
+                h.count,
+                h.quantile_upper(0.5),
+                h.quantile_upper(0.99)
+            )),
+            MetricValue::Gauge(_) => {}
+        }
     }
 }
 
@@ -376,26 +391,6 @@ fn supervise_shard(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
     }
 }
 
-/// Anything a connection can read and write frames on.
-trait Conn: Read + Write + Send {
-    /// Applies `timeout` to both reads and writes (`None` blocks forever).
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
-
 /// Whether an I/O error is a connection deadline expiring (both kinds
 /// occur depending on platform and socket family).
 fn is_timeout(e: &io::Error) -> bool {
@@ -432,26 +427,23 @@ fn handle_conn(
                 return;
             }
         };
-        let request = match Request::decode(&payload) {
-            Ok(request) => request,
+        // Latency runs from the fully read frame to the fully written
+        // response: decode, admission, queue wait, analysis or cache
+        // lookup, the WAL insert, encode and write.
+        let started = Instant::now();
+        let response = match Request::decode(&payload) {
+            // Typed decode errors are answered, not fatal: the framing is
+            // intact, so the conversation can continue.
             Err(e) => {
-                // Typed decode errors are answered, not fatal: the framing
-                // is intact, so the conversation can continue.
-                let resp = Response::Rejected {
-                    reason: format!("bad request: {e}"),
-                };
                 shared.bump("srv.rejected");
-                if write_frame(&mut conn, &resp.encode()).is_err() {
-                    return;
+                Response::Rejected {
+                    reason: format!("bad request: {e}"),
                 }
-                continue;
             }
-        };
-        let response = match request {
-            Request::Submit { tenant, spec, trace } => {
+            Ok(Request::Submit { tenant, spec, trace }) => {
                 submit_response(shared, shard_txs, tenant, &spec, trace, None)
             }
-            Request::StreamOpen { tenant, spec, chunk_ops } => {
+            Ok(Request::StreamOpen { tenant, spec, chunk_ops }) => {
                 match admit(shared, &tenant).and_then(|()| parse_spec(&spec)) {
                     Err(reason) => {
                         shared.bump("srv.rejected");
@@ -468,7 +460,7 @@ fn handle_conn(
                     }
                 }
             }
-            Request::StreamChunk { data } => match open_stream.as_mut() {
+            Ok(Request::StreamChunk { data }) => match open_stream.as_mut() {
                 None => {
                     shared.bump("srv.rejected");
                     Response::Rejected {
@@ -494,7 +486,7 @@ fn handle_conn(
                     }
                 }
             },
-            Request::StreamFinish => match open_stream.take() {
+            Ok(Request::StreamFinish) => match open_stream.take() {
                 None => {
                     shared.bump("srv.rejected");
                     Response::Rejected {
@@ -513,25 +505,23 @@ fn handle_conn(
                     )
                 }
             },
-            Request::Status => Response::Status {
+            Ok(Request::Status) => Response::Status {
                 text: shared.render_status(),
             },
-            Request::Shutdown => {
+            Ok(Request::Shutdown) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 let _ = write_frame(&mut conn, &Response::Bye.encode());
                 wake();
                 return;
             }
         };
-        match write_frame(&mut conn, &response.encode()) {
-            Ok(()) => {}
-            Err(e) => {
-                if is_timeout(&e) {
-                    shared.bump("srv.conn_timeouts");
-                }
-                return;
+        if let Err(e) = write_frame(&mut conn, &response.encode()) {
+            if is_timeout(&e) {
+                shared.bump("srv.conn_timeouts");
             }
+            return;
         }
+        shared.observe("srv.request_us", started.elapsed().as_micros() as u64);
     }
 }
 
@@ -772,8 +762,8 @@ impl Server {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            if conn.set_io_timeout(conn_timeout).is_err() {
-                continue; // can't deadline it: refuse rather than risk a pin
+            if conn.configure(conn_timeout).is_err() {
+                continue; // can't configure it: refuse rather than risk a pin
             }
             let shared = Arc::clone(&shared);
             let txs = shard_txs.clone();

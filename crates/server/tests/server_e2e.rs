@@ -67,6 +67,62 @@ fn submit_twice_second_is_cache_hit() {
     server.join().expect("join").expect("clean run");
 }
 
+/// Many small round trips on one reused TCP connection must cost
+/// microseconds each, not the ~40 ms of a Nagle + delayed-ACK stall (which
+/// a frame split over two writes without `TCP_NODELAY` pays every time).
+#[test]
+fn reused_connection_round_trips_do_not_stall() {
+    let dir = std::env::temp_dir().join(format!("droidracer-stall-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (addr, server) = start_tcp(ServerConfig {
+        cache_path: Some(dir.join("cache.txt")),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect_tcp(&addr, "alice").expect("connect");
+    let spec = JobSpec::default();
+    let text = racy_text();
+
+    let first = client.submit_trace(&spec, &text).expect("submit");
+    assert!(!first.cache_hit());
+    let report = first.report().expect("completed").clone();
+
+    let chunk_bytes = (text.len() / 16).max(1);
+    let chunks = text.len().div_ceil(chunk_bytes);
+    assert!(chunks >= 16, "{chunks} chunks");
+    let started = std::time::Instant::now();
+    for _ in 0..40 {
+        let hit = client.submit_trace(&spec, &text).expect("resubmit");
+        assert!(hit.cache_hit());
+        assert_eq!(hit.report(), Some(&report), "cached report identical");
+    }
+    let streamed = client.submit_stream(&spec, &text, chunk_bytes, 2).expect("stream");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "40 hits + a {chunks}-chunk stream took {elapsed:?}"
+    );
+    // A streamed report carries streaming stats, so it is pinned against
+    // the same upload run locally rather than against the batch report.
+    let local = LocalService::new().submit_streaming(&spec, &text, 2);
+    assert_eq!(streamed.report(), Some(&local));
+    assert_eq!(local.races, report.races);
+
+    // Every answered request so far is one latency observation: the miss,
+    // the 40 hits, and the stream's open, chunks and finish.
+    let status = client.status().expect("status");
+    let requests = 1 + 40 + 1 + chunks as u64 + 1;
+    assert_eq!(status_counter(&status, "srv.request_us.count"), Some(requests), "{status}");
+    let p50 = status_counter(&status, "srv.request_us.p50_le").expect("p50");
+    let p99 = status_counter(&status, "srv.request_us.p99_le").expect("p99");
+    assert!(p50 <= p99, "{status}");
+    assert_eq!(status_counter(&status, "srv.cache_hits"), Some(40), "{status}");
+
+    client.shutdown().expect("shutdown");
+    drop(client);
+    server.join().expect("join").expect("clean run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn distinct_specs_do_not_share_cache_entries() {
     let (addr, server) = start_tcp(ServerConfig::default());
