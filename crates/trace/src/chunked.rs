@@ -14,7 +14,7 @@
 //! needs them falls back to a batch re-analysis, which the core crate's
 //! streaming session does automatically for structurally invalid streams.
 
-use crate::format::{parse_line, Diagnostic, ParseTraceError, Repair, HEADER};
+use crate::format::{parse_line, Cursor, Diagnostic, ParseTraceError, Repair, HEADER};
 use crate::names::Names;
 use crate::op::Op;
 
@@ -76,16 +76,17 @@ impl ChunkedReader {
     /// [`from_text_lenient`](crate::from_text_lenient).
     pub fn push_text(&mut self, text: &str) -> Result<Vec<Op>, ParseTraceError> {
         self.tail.push_str(text);
-        let mut ops = Vec::new();
-        while let Some(nl) = self.tail.find('\n') {
-            let raw: String = self.tail[..nl].to_string();
-            self.tail.drain(..=nl);
-            let start = self.offset;
-            self.offset += nl + 1;
-            self.line += 1;
-            self.consume_line(&raw, start, &mut ops)?;
-        }
-        Ok(ops)
+        // Parse the completed lines where they lie, then drop them with one
+        // drain; after an error, only the lines through the failing one.
+        let buf = std::mem::take(&mut self.tail);
+        let complete = buf.rfind('\n').map_or(0, |nl| nl + 1);
+        // Room for one op per 16 bytes, as in `from_text`.
+        let mut ops = Vec::with_capacity(complete / 16);
+        let start = self.offset;
+        let result = self.consume_lines(&buf[..complete], &mut ops);
+        self.tail = buf;
+        self.tail.drain(..self.offset - start);
+        result.map(|()| ops)
     }
 
     /// Ends the input: parses a final unterminated line if one is
@@ -98,12 +99,8 @@ impl ChunkedReader {
     /// format header (including the empty stream).
     pub fn finish(mut self) -> Result<(Names, Vec<Op>, Vec<Diagnostic>), ParseTraceError> {
         let mut ops = Vec::new();
-        if !self.tail.is_empty() {
-            let raw = std::mem::take(&mut self.tail);
-            let start = self.offset;
-            self.line += 1;
-            self.consume_line(&raw, start, &mut ops)?;
-        }
+        let tail = std::mem::take(&mut self.tail);
+        self.consume_lines(&tail, &mut ops)?;
         if !self.header_seen {
             return Err(ParseTraceError {
                 line: 1,
@@ -128,37 +125,41 @@ impl ChunkedReader {
         self.line
     }
 
-    fn consume_line(
-        &mut self,
-        raw: &str,
-        start: usize,
-        ops: &mut Vec<Op>,
-    ) -> Result<(), ParseTraceError> {
-        let content = raw.strip_suffix('\r').unwrap_or(raw);
-        if !self.header_seen {
-            if content.trim() == HEADER {
+    /// Consumes every line of `text`, the last one perhaps unterminated,
+    /// until one fails, and advances `offset` past the consumed lines, the
+    /// failing one included.
+    fn consume_lines(&mut self, text: &str, ops: &mut Vec<Op>) -> Result<(), ParseTraceError> {
+        let base = self.offset;
+        let mut cur = Cursor::new(text);
+        while !cur.at_end() {
+            self.line += 1;
+            if !self.header_seen {
+                let (start, end) = cur.next_line();
+                let content = &text[start..end];
+                if content.trim() != HEADER {
+                    self.offset = base + cur.offset();
+                    return Err(ParseTraceError {
+                        line: self.line,
+                        message: format!("missing header `{HEADER}`, got {content:?}"),
+                    });
+                }
                 self.header_seen = true;
-                return Ok(());
+                continue;
             }
-            return Err(ParseTraceError {
-                line: self.line,
-                message: format!("missing header `{HEADER}`, got {content:?}"),
-            });
+            let result = parse_line(&mut cur, &mut self.names);
+            let (start, end) = cur.next_line();
+            match result {
+                Ok(Some(op)) => ops.push(op),
+                Ok(None) => {}
+                Err(message) => self.diags.push(Diagnostic {
+                    line: self.line,
+                    span: (base + start, base + end),
+                    message,
+                    repair: Repair::SkipOp,
+                }),
+            }
         }
-        let l = content.trim();
-        if l.is_empty() || l.starts_with('#') {
-            return Ok(());
-        }
-        match parse_line(l, &mut self.names) {
-            Ok(Some(op)) => ops.push(op),
-            Ok(None) => {}
-            Err(message) => self.diags.push(Diagnostic {
-                line: self.line,
-                span: (start, start + content.len()),
-                message,
-                repair: Repair::SkipOp,
-            }),
-        }
+        self.offset = base + text.len();
         Ok(())
     }
 }

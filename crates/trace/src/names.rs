@@ -1,6 +1,8 @@
 //! Human-readable names for the entities of a trace.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::ids::{EventId, FieldId, LockId, ObjectId, TaskId, ThreadId, ThreadKind};
 
@@ -29,6 +31,7 @@ pub struct Names {
     locks: Vec<String>,
     events: Vec<String>,
     fields: Vec<String>,
+    field_ids: FieldIndex,
     objects: Vec<String>,
 }
 
@@ -74,12 +77,12 @@ impl Names {
     /// name was seen before.
     pub fn field(&mut self, name: impl AsRef<str>) -> FieldId {
         let name = name.as_ref();
-        if let Some(pos) = self.fields.iter().position(|f| f == name) {
-            return FieldId(pos as u32);
+        if let Some(id) = self.field_ids.get(&self.fields, name) {
+            return id;
         }
-        let id = FieldId(self.fields.len() as u32);
         self.fields.push(name.to_owned());
-        id
+        self.field_ids.insert(&self.fields);
+        FieldId(self.fields.len() as u32 - 1)
     }
 
     /// Declares a new heap object and returns its id.
@@ -176,6 +179,73 @@ impl Names {
     }
 }
 
+/// The ids of [`Names`]' fields by name, for O(1) interning: an open
+/// addressing table over the field list, probed linearly from a randomly
+/// keyed SipHash of the name, as names come from outside input. It holds
+/// ids, not a second copy of every name, and is rebuilt from the list at
+/// double the size once it is half full.
+#[derive(Clone, Default)]
+struct FieldIndex {
+    keys: RandomState,
+    /// `id + 1` in each used slot, 0 in an empty one; empty or a power of
+    /// two long.
+    slots: Vec<u32>,
+}
+
+impl FieldIndex {
+    /// The slot holding `name`, or else the empty slot where it belongs.
+    /// Only whole names are hashed, so their bytes need no terminator.
+    fn probe(&self, fields: &[String], name: &str) -> usize {
+        let mut hasher = self.keys.build_hasher();
+        hasher.write(name.as_bytes());
+        let mask = self.slots.len() - 1;
+        let mut i = hasher.finish() as usize & mask;
+        while self.slots[i] != 0 && fields[self.slots[i] as usize - 1] != name {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The id of `name` in `fields`, if it is there.
+    fn get(&self, fields: &[String], name: &str) -> Option<FieldId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = self.slots[self.probe(fields, name)];
+        slot.checked_sub(1).map(FieldId)
+    }
+
+    /// Indexes the last of `fields`, which is not indexed yet.
+    fn insert(&mut self, fields: &[String]) {
+        let unindexed = if 2 * fields.len() > self.slots.len() {
+            self.slots = vec![0; (2 * fields.len()).next_power_of_two().max(16)];
+            0..fields.len()
+        } else {
+            fields.len() - 1..fields.len()
+        };
+        for id in unindexed {
+            let i = self.probe(fields, &fields[id]);
+            self.slots[i] = id as u32 + 1;
+        }
+    }
+}
+
+/// The slot order depends on the random keys, so it is left out.
+impl fmt::Debug for FieldIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FieldIndex").finish_non_exhaustive()
+    }
+}
+
+/// The index is derived from the field list, which `Names` compares.
+impl PartialEq for FieldIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FieldIndex {}
+
 impl fmt::Display for Names {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "threads: {}", self.threads.len())?;
@@ -212,6 +282,20 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(n.field_count(), 2);
+    }
+
+    #[test]
+    fn a_repeated_field_name_keeps_its_first_id_among_many() {
+        let mut n = Names::new();
+        let ids: Vec<FieldId> = (0..3000).map(|i| n.field(format!("C.f{i}"))).collect();
+        assert_eq!(ids, (0..3000).map(FieldId).collect::<Vec<_>>());
+        assert_eq!(n.field("C.f0"), FieldId(0));
+        assert_eq!(n.field("C.f2999"), FieldId(2999));
+        assert_eq!(n.field_count(), 3000);
+        let mut copy = n.clone();
+        assert_eq!(copy.field("C.f1234"), FieldId(1234));
+        assert_eq!(copy.field("C.new"), FieldId(3000));
+        assert_eq!(n.field("C.other"), FieldId(3000), "a clone interns on its own");
     }
 
     #[test]

@@ -25,18 +25,20 @@
 //! validator uses, and re-parsing a recovered trace leniently is a fixed
 //! point (zero further diagnostics).
 
-use crate::format::{Diagnostic, PendingOp, Repair};
+use crate::format::{Diagnostic, LinePos, Repair};
 use crate::ids::{TaskId, ThreadId};
 use crate::names::Names;
 use crate::op::{Op, OpKind};
 use crate::trace::Trace;
 use crate::validate::{step, State, ValidateErrorKind};
 
-/// Replays `ops` through the semantics checker, repairing as it goes, and
-/// assembles the recovered trace. Repairs are appended to `diags`.
+/// Replays `ops`, found at positions `at`, through the semantics checker,
+/// repairing as it goes, and assembles the recovered trace. Repairs are
+/// appended to `diags`.
 pub(crate) fn repair(
     names: Names,
-    ops: Vec<PendingOp>,
+    ops: Vec<Op>,
+    at: &[LinePos],
     diags: &mut Vec<Diagnostic>,
     eof_line: usize,
     eof_span: (usize, usize),
@@ -53,17 +55,17 @@ pub(crate) fn repair(
     // the matching `end` goes by.
     let mut truncating: std::collections::HashMap<ThreadId, TaskId> =
         std::collections::HashMap::new();
-    for p in ops {
-        let t = p.op.thread;
+    for (op, p) in ops.into_iter().zip(at) {
+        let t = op.thread;
         if let Some(&task) = truncating.get(&t) {
-            if matches!(p.op.kind, OpKind::End { task: e } if e == task) {
+            if matches!(op.kind, OpKind::End { task: e } if e == task) {
                 truncating.remove(&t);
             }
             continue;
         }
-        match step(&mut st, p.op) {
-            Ok(()) => kept.push(p.op),
-            Err(kind) => match (&kind, p.op.kind) {
+        match step(&mut st, op) {
+            Ok(()) => kept.push(op),
+            Err(kind) => match (&kind, op.kind) {
                 // A declared thread initializing without a logged fork: the
                 // fork happened where the tracer cannot see (native code).
                 // Accept the declaration as the creation witness — this is
@@ -77,8 +79,8 @@ pub(crate) fn repair(
                     st.created.insert(t);
                     // invariant: `t` is now in `created` and in no other
                     // lifecycle set, which is all the INIT rule requires.
-                    step(&mut st, p.op).expect("created thread can init");
-                    kept.push(p.op);
+                    step(&mut st, op).expect("created thread can init");
+                    kept.push(op);
                 }
                 // Dangling join: the child is still running, so its exit
                 // record was lost. Synthesize it and retry the join.
@@ -99,8 +101,8 @@ pub(crate) fn repair(
                         ),
                         repair: Repair::SynthesizeClose,
                     });
-                    match step(&mut st, p.op) {
-                        Ok(()) => kept.push(p.op),
+                    match step(&mut st, op) {
+                        Ok(()) => kept.push(op),
                         // invariant: the child just exited and the joining
                         // thread passed the running check above.
                         Err(k) => unreachable!("join after synthesized exit failed: {k}"),
@@ -130,7 +132,7 @@ pub(crate) fn repair(
                 _ => diags.push(Diagnostic {
                     line: p.line,
                     span: p.span,
-                    message: format!("infeasible op `{}` ({kind}); dropped", p.op),
+                    message: format!("infeasible op `{}` ({kind}); dropped", op),
                     repair: Repair::SkipOp,
                 }),
             },
