@@ -65,7 +65,7 @@ fn main() {
             graph.node_count().to_string(),
             format!("{:.1}%", ratio * 100.0),
             analysis.hb().rounds().to_string(),
-            format!("{:.0} ms", analysis.timing().total().as_secs_f64() * 1000.0),
+            format!("{:.0} ms", analysis.spans().dur_ns as f64 / 1e6),
             mb(relation_bytes(graph.node_count())),
         ]);
     }

@@ -196,9 +196,8 @@ fn main() {
     // before the asserts fire.
     export_robustness_counters(&entries, &traces, &mut registry);
 
-    // Single-trace closure latency: the K-9 Mail hot path, sequential vs
-    // intra-trace parallel, with the per-word-op wall-clock gauge that the
-    // CI ceiling gates.
+    // Single-trace closure latency: the K-9 Mail hot path, with the
+    // per-word-op wall-clock gauge that the CI ceiling gates.
     export_closure_latency(&names, &traces, &mut registry);
 
     // Streaming sweep: every corpus trace re-analyzed online (64-op chunks,
@@ -416,17 +415,11 @@ fn export_robustness_counters(
 }
 
 /// Times the happens-before closure of the single biggest corpus trace
-/// (K-9 Mail) — sequential and on 8 intra-trace workers, best of 3 each —
-/// verifying the parallel matrices and counters are bit-identical, and
-/// exports:
+/// (K-9 Mail), best of 3, and exports:
 ///
-/// * `hb.ns_per_word_op` (gauge): sequential closure nanoseconds per
-///   `word_ops` unit — the wall-clock-per-op metric the CI ceiling gates;
-/// * `hb.k9_closure_ms` / `hb.k9_closure_ms_intra8` (gauges): the raw
-///   closure wall times;
-/// * `hb.batches` / `hb.batch_conflicts` (counters): the parallel
-///   schedule's level-group telemetry (deterministic for any worker
-///   count ≥ 2).
+/// * `hb.ns_per_word_op` (gauge): closure nanoseconds per `word_ops` unit
+///   — the wall-clock-per-op metric the CI ceiling gates;
+/// * `hb.k9_closure_ms` (gauge): the raw closure wall time.
 ///
 /// Then enforces the checked-in per-word-op ceiling
 /// (`tests/data/ns_per_word_op_ceiling.txt`) — a generous multiple of the
@@ -442,47 +435,22 @@ fn export_closure_latency(names: &[&'static str], traces: &[Trace], registry: &m
     let config = HbConfig::new();
     let repeats = 3;
 
-    let mut seq_secs = f64::MAX;
-    let mut seq = HappensBefore::compute(&trace, config);
+    let mut secs = f64::MAX;
+    let mut hb = HappensBefore::compute(&trace, config);
     for _ in 0..repeats {
         let start = Instant::now();
-        seq = HappensBefore::compute(&trace, config);
-        seq_secs = seq_secs.min(start.elapsed().as_secs_f64());
+        hb = HappensBefore::compute(&trace, config);
+        secs = secs.min(start.elapsed().as_secs_f64());
     }
-    let mut par_secs = f64::MAX;
-    let mut par = HappensBefore::compute_parallel(&trace, config, 8);
-    for _ in 0..repeats {
-        let start = Instant::now();
-        par = HappensBefore::compute_parallel(&trace, config, 8);
-        par_secs = par_secs.min(start.elapsed().as_secs_f64());
-    }
-    assert_eq!(
-        seq.relation_matrices(),
-        par.relation_matrices(),
-        "intra-trace parallel closure diverged from sequential on K-9 Mail"
-    );
-    let (s, p) = (seq.stats(), par.stats());
-    assert_eq!(
-        (s.word_ops, s.skipped_words, s.rows_recomputed, s.rounds),
-        (p.word_ops, p.skipped_words, p.rows_recomputed, p.rounds),
-        "intra-trace parallel counters diverged on K-9 Mail"
-    );
-
-    let ns_per_word_op = seq_secs * 1e9 / s.word_ops as f64;
+    let word_ops = hb.stats().word_ops;
+    let ns_per_word_op = secs * 1e9 / word_ops as f64;
     registry.gauge_set("hb.ns_per_word_op", ns_per_word_op);
-    registry.gauge_set("hb.k9_closure_ms", seq_secs * 1e3);
-    registry.gauge_set("hb.k9_closure_ms_intra8", par_secs * 1e3);
-    registry.counter_add("hb.batches", p.batches);
-    registry.counter_add("hb.batch_conflicts", p.batch_conflicts);
+    registry.gauge_set("hb.k9_closure_ms", secs * 1e3);
     println!(
-        "K-9 Mail closure: {:.1} ms sequential ({:.2} ns/word-op over {} word-ops), \
-         {:.1} ms on 8 intra-trace workers ({} level batches, {} in-batch direct edges)\n",
-        seq_secs * 1e3,
+        "K-9 Mail closure: {:.1} ms ({:.2} ns/word-op over {} word-ops)\n",
+        secs * 1e3,
         ns_per_word_op,
-        s.word_ops,
-        par_secs * 1e3,
-        p.batches,
-        p.batch_conflicts
+        word_ops
     );
     enforce_ns_ceiling(ns_per_word_op);
 }

@@ -85,7 +85,7 @@ pub use par::{
     par_map, par_map_profiled, par_try_map, run_isolated, ItemError, SPAWN_MIN_ITEMS,
 };
 pub use race::{detect, find_races, Race, RaceKind};
-pub use report::{Analysis, AnalysisTiming, CategoryCounts, ClassifiedRace};
+pub use report::{Analysis, CategoryCounts, ClassifiedRace};
 pub use robust::{Budget, BudgetExhausted, BudgetReason, Quarantined, QuarantineCause};
 pub use rules::{HbConfig, HbMode, RuleSet};
 pub use service::{

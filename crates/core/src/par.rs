@@ -20,9 +20,10 @@
 //! single atomic counter (work stealing by index), compute `f` on their
 //! claimed item, and write the result into that item's dedicated output
 //! slot. Scheduling decides only *who* computes each result, never *where*
-//! it lands or *what* it is. Wall-clock timings embedded in results (e.g.
-//! [`AnalysisTiming`](crate::AnalysisTiming)) are the one intentional
-//! exception: they vary run to run and are excluded from report equality.
+//! it lands or *what* it is. Wall-clock span durations embedded in results
+//! (e.g. [`Analysis::spans`](crate::Analysis::spans)) are the one
+//! intentional exception: they vary run to run and are excluded from report
+//! equality.
 //!
 //! The pool is built on [`std::thread::scope`], so `f` and the items only
 //! need to outlive the call, not `'static`, and a panic in any worker
@@ -53,9 +54,7 @@ pub fn default_threads() -> usize {
 /// this many items the fixed overhead dominates any speedup (the pipeline
 /// bench measured the parallel path at 0.878× sequential for `threads=1`
 /// before the short-circuit was made explicit). Items here are whole
-/// analyses or row batches — milliseconds each — so the threshold is low;
-/// per-row granularity is guarded separately by the engine's
-/// `PAR_GROUP_MIN`.
+/// analyses — milliseconds each — so the threshold is low.
 pub const SPAWN_MIN_ITEMS: usize = 2;
 
 /// The worker count a fan-out will actually use: `1` (the inline

@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 use droidracer_obs::{MetricsRegistry, SpanRecord};
 use droidracer_trace::{MemLoc, Trace};
@@ -16,38 +15,6 @@ use crate::classify::RaceCategory;
 use crate::coverage::CoverageReport;
 use crate::engine::HappensBefore;
 use crate::race::Race;
-
-/// Wall-clock time spent in each stage of one [`Analysis`] run.
-///
-/// Timing is *observability only*: it is the single non-deterministic part
-/// of an analysis and is deliberately excluded from equality, reports, and
-/// the parallel pipeline's determinism contract (see `par`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisTiming {
-    /// Stripping cancelled posts and building the trace index.
-    pub prepare: Duration,
-    /// Happens-before graph construction (including §6 node merging).
-    pub graph: Duration,
-    /// The happens-before fixpoint closure.
-    pub closure: Duration,
-    /// Race detection over unordered conflicting block pairs.
-    pub detect: Duration,
-    /// Race classification (§4.3 categories).
-    pub classify: Duration,
-}
-
-impl AnalysisTiming {
-    /// Combined graph-construction + closure time (the two stages were one
-    /// field before the stage split; kept for reporting continuity).
-    pub fn happens_before(&self) -> Duration {
-        self.graph + self.closure
-    }
-
-    /// Total wall-clock time across all stages.
-    pub fn total(&self) -> Duration {
-        self.prepare + self.graph + self.closure + self.detect + self.classify
-    }
-}
 
 /// A race together with its §4.3 category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +67,6 @@ pub struct Analysis {
     trace: Trace,
     hb: HappensBefore,
     races: Vec<ClassifiedRace>,
-    timing: AnalysisTiming,
     spans: SpanRecord,
     coverage: Option<CoverageReport>,
     explanations: Vec<String>,
@@ -109,17 +75,11 @@ pub struct Analysis {
 impl Analysis {
     /// Assembles a result from the pipeline stages (used by the builder;
     /// spans default to an empty placeholder until the session closes).
-    pub(crate) fn assemble(
-        trace: Trace,
-        hb: HappensBefore,
-        races: Vec<ClassifiedRace>,
-        timing: AnalysisTiming,
-    ) -> Self {
+    pub(crate) fn assemble(trace: Trace, hb: HappensBefore, races: Vec<ClassifiedRace>) -> Self {
         Analysis {
             trace,
             hb,
             races,
-            timing,
             spans: SpanRecord::leaf("analysis"),
             coverage: None,
             explanations: Vec::new(),
@@ -148,22 +108,20 @@ impl Analysis {
         &self.hb
     }
 
-    /// Per-stage wall-clock timing of this run (observability only; never
-    /// part of report equality).
-    pub fn timing(&self) -> &AnalysisTiming {
-        &self.timing
-    }
-
     /// The session's phase span tree (root `analysis`, children per pipeline
     /// stage). Span *structure* — names, nesting, counters — is
-    /// deterministic; only `start_ns`/`dur_ns` carry wall-clock values.
+    /// deterministic; only `start_ns`/`dur_ns` carry wall-clock values, and
+    /// they are the analysis's only timing record (observability only, never
+    /// part of report equality).
     pub fn spans(&self) -> &SpanRecord {
         &self.spans
     }
 
     /// The session's metrics: every engine counter, graph/trace sizes, and
     /// per-category race counts as deterministic counters, plus the total
-    /// wall-clock time as a gauge.
+    /// wall-clock time as the `time.total_ms` gauge. That gauge reads the
+    /// root `analysis` span, so it also covers the opt-in validate, coverage
+    /// and explain phases.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         m.counter_add("trace.ops", self.trace.len() as u64);
@@ -185,7 +143,7 @@ impl Analysis {
         for cat in RaceCategory::all() {
             m.counter_add(format!("races.{cat}"), counts.get(cat) as u64);
         }
-        m.gauge_set("time.total_ms", self.timing.total().as_secs_f64() * 1e3);
+        m.gauge_set("time.total_ms", self.spans.dur_ns as f64 / 1e6);
         m
     }
 
@@ -442,18 +400,5 @@ mod tests {
             Some(analysis.counts().total() as u64)
         );
         assert!(m.gauge("time.total_ms").is_some());
-    }
-
-    #[test]
-    fn timing_totals_sum_stages() {
-        let t = AnalysisTiming {
-            prepare: Duration::from_millis(1),
-            graph: Duration::from_millis(2),
-            closure: Duration::from_millis(3),
-            detect: Duration::from_millis(4),
-            classify: Duration::from_millis(5),
-        };
-        assert_eq!(t.happens_before(), Duration::from_millis(5));
-        assert_eq!(t.total(), Duration::from_millis(15));
     }
 }

@@ -655,22 +655,12 @@ pub trait AnalysisService {
 /// session through [`AnalysisBuilder`] (or the streaming engine — see
 /// [`LocalService::submit_streaming`]). Infallible at the transport level.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LocalService {
-    intra_threads: usize,
-}
+pub struct LocalService;
 
 impl LocalService {
-    /// A sequential local service.
+    /// A local service.
     pub fn new() -> Self {
-        LocalService { intra_threads: 1 }
-    }
-
-    /// Runs each job's happens-before closure on `threads` intra-trace
-    /// workers (bit-identical for every thread count).
-    pub fn with_intra_threads(threads: usize) -> Self {
-        LocalService {
-            intra_threads: threads.max(1),
-        }
+        LocalService
     }
 
     /// Parses `trace_text` per `spec`, returning the trace and any repair
@@ -694,8 +684,7 @@ impl LocalService {
 
     /// Runs the job on the batch pipeline and wraps the outcome.
     fn run_batch(&self, spec: &JobSpec, trace: &Trace, diagnostics: Vec<String>) -> JobReport {
-        let session = spec.builder().intra_threads(self.intra_threads);
-        match session.analyze(trace) {
+        match spec.builder().analyze(trace) {
             Ok(analysis) => JobReport::from_analysis(&analysis, diagnostics),
             Err(AnalysisError::Validate(e)) => {
                 let mut report = JobReport::aborted(ExitClass::Invalid, e.to_string());

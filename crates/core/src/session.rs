@@ -53,7 +53,7 @@ use crate::engine::HappensBefore;
 use crate::explain::explain;
 use crate::graph::HbGraph;
 use crate::race::detect;
-use crate::report::{representatives_of, Analysis, AnalysisTiming, ClassifiedRace};
+use crate::report::{representatives_of, Analysis, ClassifiedRace};
 use crate::robust::{Budget, BudgetExhausted, BudgetReason};
 use crate::rules::{HbConfig, HbMode, RuleSet};
 use crate::stream::{StreamEvent, StreamOptions, StreamOutcome, StreamStats, StreamingAnalysis};
@@ -115,7 +115,6 @@ pub struct AnalysisBuilder {
     sink: Option<Arc<dyn ObsSink>>,
     budget: Budget,
     fault_hook: Option<FaultHook>,
-    intra_threads: usize,
 }
 
 /// A fault-injection callback fired with each phase name as it starts; see
@@ -192,17 +191,6 @@ impl AnalysisBuilder {
     /// sink is only needed by callers that aggregate across sessions.
     pub fn sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Runs the happens-before closure on `threads` intra-trace workers
-    /// (default: 1, the sequential engine). The result is bit-identical for
-    /// every thread count — matrices, races, and every engine counter
-    /// except the `batches`/`batch_conflicts` scheduling telemetry; see
-    /// [`HappensBefore::compute_parallel`]. A limited [`Budget`] forces the
-    /// sequential path, keeping budget-poll granularity deterministic.
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads;
         self
     }
 
@@ -284,7 +272,6 @@ impl AnalysisBuilder {
             Some(origin) => Recorder::with_origin(origin),
             None => Recorder::new(),
         };
-        let mut timing = AnalysisTiming::default();
         rec.start("analysis");
 
         if self.validate {
@@ -297,34 +284,27 @@ impl AnalysisBuilder {
 
         rec.start("prepare");
         self.enter_phase("prepare");
-        let start = Instant::now();
         let trace = trace.without_cancelled();
         let index = trace.index();
-        timing.prepare = start.elapsed();
         rec.counter("ops", trace.len() as u64);
         rec.end();
         self.check_deadline()?;
 
         rec.start("graph");
         self.enter_phase("graph");
-        let start = Instant::now();
         let graph = HbGraph::build(&trace, &index, self.config.merge_accesses);
-        timing.graph = start.elapsed();
         rec.counter("nodes", graph.node_count() as u64);
         rec.end();
 
         rec.start("closure");
         self.enter_phase("closure");
-        let start = Instant::now();
-        let hb = HappensBefore::compute_on_graph_budgeted_parallel(
+        let hb = HappensBefore::compute_on_graph_budgeted(
             &trace,
             &index,
             graph,
             self.config,
             &self.budget,
-            self.intra_threads.max(1),
         )?;
-        timing.closure = start.elapsed();
         let stats = hb.stats();
         rec.counter("base_edges", stats.base_edges as u64);
         rec.counter("fifo_fired", stats.fifo_fired as u64);
@@ -341,10 +321,7 @@ impl AnalysisBuilder {
         self.check_deadline()?;
         rec.start("detect");
         self.enter_phase("detect");
-        let start = Instant::now();
         let raw = detect(&trace, &hb);
-        timing.detect = start.elapsed();
-        let start = Instant::now();
         let races: Vec<ClassifiedRace> = raw
             .into_iter()
             .map(|race| ClassifiedRace {
@@ -352,12 +329,11 @@ impl AnalysisBuilder {
                 race,
             })
             .collect();
-        timing.classify = start.elapsed();
         rec.counter("block_pairs", races.len() as u64);
         rec.counter("representatives", representatives_of(&races).len() as u64);
         rec.end();
 
-        let mut analysis = Analysis::assemble(trace, hb, races, timing);
+        let mut analysis = Analysis::assemble(trace, hb, races);
 
         if self.coverage {
             self.check_deadline()?;
@@ -523,7 +499,6 @@ impl fmt::Debug for AnalysisBuilder {
             .field("sink", &self.sink.as_ref().map(|_| "dyn ObsSink"))
             .field("budget", &self.budget)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "dyn Fn"))
-            .field("intra_threads", &self.intra_threads)
             .finish()
     }
 }
@@ -609,29 +584,6 @@ mod tests {
         session.push_chunk(trace.ops()).expect("unbudgeted");
         session.finish(trace.names()).expect("unbudgeted");
         assert_eq!(chunks.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn intra_threads_session_is_bit_identical_to_sequential() {
-        let trace = racy_trace();
-        let base = AnalysisBuilder::new().analyze(&trace).expect("runs");
-        for threads in [0, 1, 2, 8] {
-            let par = AnalysisBuilder::new()
-                .intra_threads(threads)
-                .analyze(&trace)
-                .expect("runs");
-            assert_eq!(par.races(), base.races(), "threads={threads}");
-            let (p, b) = (par.hb().stats(), base.hb().stats());
-            assert_eq!(p.word_ops, b.word_ops, "threads={threads}");
-            assert_eq!(p.rows_recomputed, b.rows_recomputed, "threads={threads}");
-            assert_eq!(p.skipped_words, b.skipped_words, "threads={threads}");
-            // The span profile structure is thread-count independent too.
-            assert_eq!(
-                par.spans().structure(),
-                base.spans().structure(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

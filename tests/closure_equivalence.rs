@@ -8,17 +8,23 @@
 //! edges, FIFO/NOPRE firings, TRANS-ST/TRANS-MT deltas, rounds) must
 //! match exactly. These tests pin that contract on the 15-app corpus, on
 //! every `HbMode`, and on proptest-generated random applications.
+//!
+//! Every other public closure entry point — over a prebuilt graph, budgeted,
+//! with assumed edges, and through the session API — must reproduce
+//! [`HappensBefore::compute`] bit for bit, every counter included: there is
+//! one closure path, and this suite pins it to the spec.
 
 use proptest::prelude::*;
 
 use droidracer::apps::corpus;
-use droidracer::core::{HappensBefore, HbConfig, HbMode};
+use droidracer::core::{AnalysisBuilder, Budget, HappensBefore, HbConfig, HbGraph, HbMode};
 use droidracer::framework::{compile, App, AppBuilder, Stmt, UiEvent, UiEventKind};
 use droidracer::sim::{run, RandomScheduler, SimConfig};
 use droidracer::trace::Trace;
 
 /// Asserts the incremental engine reproduces the reference saturation on
-/// `trace` under `config`, bit for bit.
+/// `trace` under `config`, bit for bit, and that every other entry point
+/// reproduces the incremental engine.
 fn assert_closure_equivalent(trace: &Trace, config: HbConfig, context: &str) {
     let trace = trace.without_cancelled();
     let incremental = HappensBefore::compute(&trace, config);
@@ -42,6 +48,36 @@ fn assert_closure_equivalent(trace: &Trace, config: HbConfig, context: &str) {
         reference.ordered_pairs(),
         "{context}: relation size"
     );
+
+    let index = trace.index();
+    let graph = || HbGraph::build(&trace, &index, config.merge_accesses);
+    let on_graph = HappensBefore::compute_on_graph(&trace, &index, graph(), config);
+    let budgeted = HappensBefore::compute_on_graph_budgeted(
+        &trace,
+        &index,
+        graph(),
+        config,
+        &Budget::unlimited(),
+    )
+    .expect("unlimited budget cannot exhaust");
+    let assumed = HappensBefore::compute_with_assumed_edges(&trace, &index, config, &[]);
+    let analysis = AnalysisBuilder::new()
+        .config(config)
+        .analyze(&trace)
+        .expect("infallible without validation");
+    for (entry, hb) in [
+        ("compute_on_graph", &on_graph),
+        ("compute_on_graph_budgeted", &budgeted),
+        ("compute_with_assumed_edges", &assumed),
+        ("AnalysisBuilder::analyze", analysis.hb()),
+    ] {
+        assert_eq!(
+            hb.relation_matrices(),
+            incremental.relation_matrices(),
+            "{context}: {entry} matrices differ from compute"
+        );
+        assert_eq!(hb.stats(), incremental.stats(), "{context}: {entry} stats");
+    }
 }
 
 /// Every corpus app, analyzed under the production configuration, closes to
