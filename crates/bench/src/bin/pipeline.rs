@@ -303,64 +303,17 @@ fn export_motif_counters(registry: &mut MetricsRegistry) {
          ({reported} reported incl. planted false positives)\n",
         entries.len()
     );
-    enforce_component_word_ops_budget(word_ops);
-}
-
-/// Exact word-ops ceiling for the component corpus — the sibling of
-/// [`enforce_word_ops_budget`] with its own blessed line, so growing the
-/// catalog never perturbs the original 15-app budget.
-fn enforce_component_word_ops_budget(total: u64) {
-    let budget_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/wordops_budget_component.txt"
+    // Its own blessed file, so growing the catalog never perturbs the
+    // original 15-app budget.
+    enforce_ceiling(
+        "wordops_budget_component.txt",
+        "# Component-corpus (7 component-automaton apps) happens-before\n\
+         # `word_ops` budget, enforced by the pipeline bench alongside the\n\
+         # original 15-app budget in wordops_budget.txt.",
+        "component-corpus word_ops",
+        word_ops as f64,
+        word_ops as f64,
     );
-    if std::env::var("BLESS").is_ok() {
-        let content = format!(
-            "# Component-corpus (7 component-automaton apps) happens-before\n\
-             # `word_ops` budget, enforced by the pipeline bench alongside the\n\
-             # original 15-app budget in wordops_budget.txt. Regenerate with:\n\
-             #   BLESS=1 cargo run --release -p droidracer-bench --bin pipeline\n\
-             {total}\n"
-        );
-        match std::fs::write(budget_path, content) {
-            Ok(()) => println!("blessed component word-ops budget: {total}"),
-            Err(e) => {
-                eprintln!("could not write {budget_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let budget: u64 = match std::fs::read_to_string(budget_path) {
-        Ok(text) => match text
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with('#'))
-            .and_then(|l| l.parse().ok())
-        {
-            Some(b) => b,
-            None => {
-                eprintln!("component word-ops budget file {budget_path} is malformed");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!(
-                "missing component word-ops budget {budget_path}: {e} \
-                 (measured {total}; run with BLESS=1)"
-            );
-            std::process::exit(1);
-        }
-    };
-    if total > budget {
-        eprintln!(
-            "PERF REGRESSION: component-corpus word_ops {total} exceeds budget {budget} \
-             (+{:.1}%). If intentional, re-bless with BLESS=1.",
-            100.0 * (total as f64 - budget as f64) / budget as f64
-        );
-        std::process::exit(1);
-    }
-    println!("component word-ops budget OK: {total} <= {budget}");
 }
 
 /// Runs the fault-isolated corpus analysis and a lenient re-parse of every
@@ -452,61 +405,17 @@ fn export_closure_latency(names: &[&'static str], traces: &[Trace], registry: &m
         ns_per_word_op,
         word_ops
     );
-    enforce_ns_ceiling(ns_per_word_op);
-}
-
-/// Enforces (or with `BLESS=1` rewrites) the wall-clock-per-word-op
-/// ceiling. Unlike the exact word-ops budget this is a timing threshold,
-/// so the blessed value carries 8× headroom for CI jitter.
-fn enforce_ns_ceiling(measured: f64) {
-    let ceiling_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/ns_per_word_op_ceiling.txt"
+    // A timing threshold, unlike the exact word-ops budgets, so the
+    // blessed value carries 8× headroom for CI jitter.
+    enforce_ceiling(
+        "ns_per_word_op_ceiling.txt",
+        "# Ceiling for `hb.ns_per_word_op` (K-9 Mail sequential closure\n\
+         # nanoseconds per word-op), enforced by the pipeline bench. Blessed\n\
+         # at 8x the measured value to absorb CI jitter.",
+        "K-9 Mail closure ns/word-op",
+        ns_per_word_op,
+        (ns_per_word_op * 8.0).ceil(),
     );
-    if std::env::var("BLESS").is_ok() {
-        let blessed = (measured * 8.0).ceil();
-        let content = format!(
-            "# Ceiling for `hb.ns_per_word_op` (K-9 Mail sequential closure\n\
-             # nanoseconds per word-op), enforced by the pipeline bench. Blessed\n\
-             # at 8x the measured value to absorb CI jitter. Regenerate with:\n\
-             #   BLESS=1 cargo run --release -p droidracer-bench --bin pipeline\n\
-             {blessed}\n"
-        );
-        match std::fs::write(ceiling_path, content) {
-            Ok(()) => println!("blessed ns/word-op ceiling: {blessed}"),
-            Err(e) => {
-                eprintln!("could not write {ceiling_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let ceiling: f64 = match std::fs::read_to_string(ceiling_path) {
-        Ok(text) => match text
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with('#'))
-            .and_then(|l| l.parse().ok())
-        {
-            Some(c) => c,
-            None => {
-                eprintln!("ns/word-op ceiling file {ceiling_path} is malformed");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("missing ns/word-op ceiling {ceiling_path}: {e} (run with BLESS=1)");
-            std::process::exit(1);
-        }
-    };
-    if measured > ceiling {
-        eprintln!(
-            "PERF REGRESSION: K-9 Mail closure measured {measured:.2} ns/word-op, \
-             ceiling {ceiling:.2}. If intentional, re-bless with BLESS=1."
-        );
-        std::process::exit(1);
-    }
-    println!("ns/word-op ceiling OK: {measured:.2} <= {ceiling:.2}\n");
 }
 
 /// Streams every corpus trace through [`StreamingAnalysis`] in 64-op chunks
@@ -783,10 +692,6 @@ fn export_chaos_counters(registry: &mut MetricsRegistry) {
 /// counter is fully deterministic, so the budget is an exact ceiling, not a
 /// noisy timing threshold.
 fn enforce_word_ops_budget(stats: &[(&str, &EngineStats)], registry: &MetricsRegistry) {
-    let budget_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/wordops_budget.txt"
-    );
     let total: u64 = stats.iter().map(|(_, s)| s.word_ops).sum();
     // The metrics registry must expose the exact same engine counters as the
     // raw EngineStats path — the budget is enforced through the registry to
@@ -796,49 +701,63 @@ fn enforce_word_ops_budget(stats: &[(&str, &EngineStats)], registry: &MetricsReg
         Some(total),
         "MetricsRegistry word_ops diverged from EngineStats"
     );
+    enforce_ceiling(
+        "wordops_budget.txt",
+        "# Corpus-total happens-before `word_ops` budget, enforced by the\n\
+         # pipeline bench (CI perf-guard).",
+        "corpus-total word_ops",
+        total as f64,
+        total as f64,
+    );
+}
+
+/// Enforces the checked-in ceiling `tests/data/{file}`: exits 1 if
+/// `measured` exceeds the file's first non-comment line, or if the file is
+/// missing or malformed. With `BLESS=1` it instead rewrites the file as
+/// the comment lines of `header`, the command that regenerates it, and
+/// `blessed`.
+fn enforce_ceiling(file: &str, header: &str, what: &str, measured: f64, blessed: f64) {
+    let path = format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var("BLESS").is_ok() {
         let content = format!(
-            "# Corpus-total happens-before `word_ops` budget, enforced by the\n\
-             # pipeline bench (CI perf-guard). Regenerate with:\n\
+            "{header} Regenerate with:\n\
              #   BLESS=1 cargo run --release -p droidracer-bench --bin pipeline\n\
-             {total}\n"
+             {blessed}\n"
         );
-        match std::fs::write(budget_path, content) {
-            Ok(()) => println!("blessed word-ops budget: {total}"),
-            Err(e) => {
-                eprintln!("could not write {budget_path}: {e}");
-                std::process::exit(1);
-            }
+        if let Err(e) = std::fs::write(&path, content) {
+            eprintln!("could not write {path}: {e}");
+            std::process::exit(1);
         }
+        println!("blessed {what}: {blessed}");
         return;
     }
-    let budget: u64 = match std::fs::read_to_string(budget_path) {
+    let ceiling: f64 = match std::fs::read_to_string(&path) {
         Ok(text) => match text
             .lines()
             .map(str::trim)
             .find(|l| !l.is_empty() && !l.starts_with('#'))
             .and_then(|l| l.parse().ok())
         {
-            Some(b) => b,
+            Some(c) => c,
             None => {
-                eprintln!("word-ops budget file {budget_path} is malformed");
+                eprintln!("ceiling file {path} is malformed");
                 std::process::exit(1);
             }
         },
         Err(e) => {
-            eprintln!("missing word-ops budget {budget_path}: {e} (run with BLESS=1)");
+            eprintln!("missing ceiling {path}: {e} (measured {measured}; run with BLESS=1)");
             std::process::exit(1);
         }
     };
-    if total > budget {
+    if measured > ceiling {
         eprintln!(
-            "PERF REGRESSION: corpus-total word_ops {total} exceeds budget {budget} \
-             (+{:.1}%). If intentional, re-bless with BLESS=1.",
-            100.0 * (total as f64 - budget as f64) / budget as f64
+            "PERF REGRESSION: {what} {measured} exceeds ceiling {ceiling} (+{:.1}%). \
+             If intentional, re-bless with BLESS=1.",
+            100.0 * (measured - ceiling) / ceiling
         );
         std::process::exit(1);
     }
-    println!("word-ops budget OK: {total} <= {budget}");
+    println!("{what} OK: {measured} <= {ceiling}\n");
 }
 
 /// Hand-rolled JSON (no serde in the dependency-free pipeline).

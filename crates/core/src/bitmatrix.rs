@@ -227,13 +227,6 @@ impl BitMatrix {
         }
     }
 
-    /// ANDs the complement of `mask` into row `dst` (clears masked bits).
-    /// The row's bounds stay valid: they over-approximate.
-    pub fn clear_masked(&mut self, mask: &[u64], dst: usize) {
-        let range = self.row_range(dst);
-        simd::and_not(&mut self.bits[range], mask);
-    }
-
     /// Iterates over the set bit positions of row `i`, scanning only its
     /// bounded word range.
     pub fn iter_row(&self, i: usize) -> BitIter<'_> {
@@ -252,11 +245,6 @@ impl BitMatrix {
     /// Number of set bits in the whole matrix.
     pub fn count_ones(&self) -> usize {
         simd::count_ones(&self.bits)
-    }
-
-    /// Number of set bits in row `i`.
-    pub fn row_count_ones(&self, i: usize) -> usize {
-        simd::count_ones(self.row(i))
     }
 }
 
@@ -495,18 +483,6 @@ mod tests {
         m.set(1, 290);
         assert_eq!(m.row_bounds(1), (2, 5));
         assert_eq!(m.iter_row(1).collect::<Vec<_>>(), vec![170, 290]);
-    }
-
-    #[test]
-    fn clear_masked_removes_bits() {
-        let mut m = BitMatrix::new(70);
-        m.set(0, 3);
-        m.set(0, 68);
-        let mut mask = BitSet::new(70);
-        mask.insert(3);
-        m.clear_masked(mask.words(), 0);
-        assert!(!m.get(0, 3));
-        assert!(m.get(0, 68));
     }
 
     #[test]

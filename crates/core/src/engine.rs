@@ -20,13 +20,12 @@
 //! rule adds an edge.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use droidracer_trace::{LockId, Op, OpKind, PostKind, TaskId, ThreadId, Trace, TraceIndex};
 
 use crate::bitmatrix::{BitIter, BitMatrix, BitSet};
 use crate::graph::{DirectEdges, HbGraph, NodeId};
-use crate::robust::{Budget, BudgetExhausted, BudgetReason};
+use crate::robust::{Budget, BudgetExhausted, BudgetReason, Poll};
 use crate::rules::{HbConfig, RuleSet};
 
 /// Hot-path counters recorded while computing one happens-before relation.
@@ -245,18 +244,17 @@ impl HappensBefore {
     ) -> Result<Self, BudgetExhausted> {
         // The matrices are the engine's dominant allocation; enforce the
         // memory cap before allocating rather than after the OOM.
-        if let Some(cap) = budget.max_matrix_bits {
-            let n = graph.node_count() as u64;
-            let matrices: u64 = if config.rules.restricted_transitivity { 2 } else { 1 };
-            if n.saturating_mul(n).saturating_mul(matrices) > cap {
-                return Err(BudgetExhausted {
-                    reason: BudgetReason::MatrixBits,
-                    partial: EngineStats::default(),
-                    ops_processed: 0,
-                });
-            }
+        let poll = Poll::new(budget);
+        let n = graph.node_count() as u64;
+        let matrices: u64 = if config.rules.restricted_transitivity { 2 } else { 1 };
+        if let Err(reason) = poll.check_bits(n.saturating_mul(n).saturating_mul(matrices)) {
+            return Err(BudgetExhausted {
+                reason,
+                partial: EngineStats::default(),
+                ops_processed: 0,
+            });
         }
-        let mut builder = EngineState::new(trace, index, &graph, config.rules, reference, budget);
+        let mut builder = EngineState::new(trace, index, &graph, config.rules, reference, poll);
         builder.add_base_edges();
         for &(i, j) in assumed {
             assert!(i < j, "assumed edges must point forward");
@@ -412,51 +410,7 @@ struct EngineState<'a> {
     /// Scratch for the per-round examine list.
     examine_buf: Vec<u32>,
     /// Cooperative budget poller, consulted at loop granularity.
-    poll: BudgetPoll,
-}
-
-/// Cooperative budget polling for the saturation loops.
-///
-/// Unlimited budgets reduce every check to one branch on `limited`, keeping
-/// the unbudgeted hot path (and its deterministic counters) untouched. The
-/// deadline is only sampled every 64 ticks — `Instant::now` is the one
-/// non-free part of a poll.
-struct BudgetPoll {
-    limited: bool,
-    max_ops: Option<u64>,
-    deadline: Option<Instant>,
-    ticks: u32,
-}
-
-impl BudgetPoll {
-    fn new(budget: &Budget) -> Self {
-        BudgetPoll {
-            limited: budget.max_ops.is_some() || budget.deadline.is_some(),
-            max_ops: budget.max_ops,
-            deadline: budget.deadline,
-            ticks: 0,
-        }
-    }
-
-    /// Checks the budget against `work_done` (the engine's `word_ops`).
-    #[inline]
-    fn check(&mut self, work_done: u64) -> Result<(), BudgetReason> {
-        if !self.limited {
-            return Ok(());
-        }
-        if let Some(cap) = self.max_ops {
-            if work_done > cap {
-                return Err(BudgetReason::OpCap);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if self.ticks & 63 == 0 && Instant::now() >= deadline {
-                return Err(BudgetReason::Deadline);
-            }
-            self.ticks = self.ticks.wrapping_add(1);
-        }
-        Ok(())
-    }
+    poll: Poll,
 }
 
 impl<'a> EngineState<'a> {
@@ -466,7 +420,7 @@ impl<'a> EngineState<'a> {
         graph: &'a HbGraph,
         rules: RuleSet,
         reference: bool,
-        budget: &Budget,
+        poll: Poll,
     ) -> Self {
         let n = graph.node_count();
         let relation = if rules.restricted_transitivity {
@@ -504,7 +458,7 @@ impl<'a> EngineState<'a> {
             examine_epoch: 0,
             candidate_done: Vec::new(),
             examine_buf: Vec::new(),
-            poll: BudgetPoll::new(budget),
+            poll,
         }
     }
 
@@ -519,11 +473,15 @@ impl<'a> EngineState<'a> {
     /// Adds the *direct* edge `a → b` (base rule, assumed edge or generator
     /// firing). Newly added edges are recorded in the adjacency lists and
     /// their source is enqueued for the next incremental saturation.
+    ///
+    /// Returns `false` without recording anything for `a >= b`: edges of a
+    /// valid trace point forward, and a backward one (say, from a post
+    /// after the begin it schedules) would break the single-pass
+    /// saturation.
     fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
+        if a >= b {
             return false;
         }
-        debug_assert!(a < b, "happens-before edges point forward in the trace");
         let (added, cross) = match &mut self.relation {
             Relation::Restricted { st, mt } => {
                 if self.graph.node(a).thread == self.graph.node(b).thread {
@@ -758,8 +716,12 @@ impl<'a> EngineState<'a> {
                     .post
                     .map(|p| (self.graph.node_of(p), first_info.post_kind));
                 for &(b2, second) in &tasks[i + 1..] {
+                    // Tasks on one thread run sequentially in a valid trace;
+                    // an overlapping pair has no end-to-begin edge to derive.
+                    if end >= b2 {
+                        continue;
+                    }
                     let second_info = self.index.task(second);
-                    debug_assert!(end < b2, "tasks on one thread run sequentially");
                     let post2 = second_info
                         .post
                         .map(|p| (self.graph.node_of(p), second_info.post_kind));

@@ -181,8 +181,9 @@ pub fn run_isolated<R, E>(f: impl FnOnce() -> Result<R, E>) -> Result<R, ItemErr
 /// par_try_map(&items, n, f)[i] == catch(f(&items[i]))   for every i, any n
 /// ```
 ///
-/// Unlike [`par_map`], worker panics do NOT propagate; use `par_map` when
-/// a panic should abort the batch.
+/// It is `par_map` with every item run inside [`run_isolated`], so worker
+/// panics do NOT propagate; use `par_map` itself when a panic should abort
+/// the batch.
 pub fn par_try_map<T, R, E, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, ItemError<E>>>
 where
     T: Sync,
@@ -190,39 +191,7 @@ where
     E: Send,
     F: Fn(&T) -> Result<R, E> + Sync,
 {
-    let isolated = |item: &T| -> Result<R, ItemError<E>> { run_isolated(|| f(item)) };
-    let workers = effective_workers(items.len(), threads);
-    if workers == 1 {
-        return items.iter().map(isolated).collect();
-    }
-    // One (input index, outcome) pair per item, gathered across workers.
-    type Slot<R, E> = (usize, Result<R, ItemError<E>>);
-    let next = AtomicUsize::new(0);
-    let gathered: Mutex<Vec<Slot<R, E>>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<Slot<R, E>> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, isolated(&items[i])));
-                }
-                gathered
-                    .lock()
-                    .expect("workers cannot panic while holding the gather lock")
-                    .append(&mut local);
-            });
-        }
-    });
-    let mut pairs = gathered
-        .into_inner()
-        .expect("workers cannot panic while holding the gather lock");
-    debug_assert_eq!(pairs.len(), items.len(), "every item produced a result");
-    pairs.sort_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
+    par_map(items, threads, |item| run_isolated(|| f(item)))
 }
 
 /// [`par_map`] with per-item span recording: every worker records its

@@ -82,6 +82,63 @@ impl Budget {
     }
 }
 
+/// Cooperative budget polling for both closure engines and the batch
+/// engine's up-front matrix cap.
+///
+/// Unlimited budgets reduce every [`Poll::check`] to one branch, keeping
+/// the unbudgeted hot path (and its deterministic counters) untouched. The
+/// deadline is only sampled every 64 ticks — `Instant::now` is the one
+/// non-free part of a poll.
+#[derive(Debug)]
+pub(crate) struct Poll {
+    limited: bool,
+    max_ops: Option<u64>,
+    max_matrix_bits: Option<u64>,
+    deadline: Option<Instant>,
+    ticks: u32,
+}
+
+impl Poll {
+    pub(crate) fn new(budget: &Budget) -> Self {
+        Poll {
+            limited: budget.is_limited(),
+            max_ops: budget.max_ops,
+            max_matrix_bits: budget.max_matrix_bits,
+            deadline: budget.deadline,
+            ticks: 0,
+        }
+    }
+
+    /// Checks the op cap against `work_done` (the engine's `word_ops`) and,
+    /// every 64th call, the deadline.
+    #[inline]
+    pub(crate) fn check(&mut self, work_done: u64) -> Result<(), BudgetReason> {
+        if !self.limited {
+            return Ok(());
+        }
+        if let Some(cap) = self.max_ops {
+            if work_done > cap {
+                return Err(BudgetReason::OpCap);
+            }
+        }
+        if let Some(deadline) = self.deadline {
+            if self.ticks & 63 == 0 && Instant::now() >= deadline {
+                return Err(BudgetReason::Deadline);
+            }
+            self.ticks = self.ticks.wrapping_add(1);
+        }
+        Ok(())
+    }
+
+    /// Checks a relation-matrix footprint of `bits` against the matrix cap.
+    pub(crate) fn check_bits(&self, bits: u64) -> Result<(), BudgetReason> {
+        match self.max_matrix_bits {
+            Some(cap) if bits > cap => Err(BudgetReason::MatrixBits),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Which limit of a [`Budget`] was hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetReason {

@@ -1,8 +1,8 @@
 //! Chunked word kernels for the bit-matrix hot path.
 //!
 //! Every kernel the closure engine spends its time in — row OR, masked
-//! union-OR with new-bit collection, range-tracked OR, masked clear,
-//! population count and set-bit scan — lives here in two forms:
+//! union-OR with new-bit collection, range-tracked OR, population count and
+//! set-bit scan — lives here in two forms:
 //!
 //! * a **chunked** form processing `LANES` (= 4) words per step with a
 //!   scalar tail. The chunk bodies are straight-line, branch-light loops
@@ -11,8 +11,8 @@
 //!   `unsafe`, nightly intrinsics or any dependency (the crate forbids
 //!   unsafe code);
 //! * a `_scalar` **reference** form, one word at a time, kept `pub` so the
-//!   differential tests (`tests/simd_kernels.rs`, the unit tests below) and
-//!   `kernel_bench` can pin the chunked form bit-identical to it.
+//!   differential tests (`tests/simd_kernels.rs`, the unit tests below) can
+//!   pin the chunked form bit-identical to it.
 //!
 //! The kernels are *pure slice transforms*: they neither count `word_ops`
 //! nor touch row bounds. Callers ([`BitMatrix`](crate::bitmatrix::BitMatrix),
@@ -219,34 +219,6 @@ pub fn union_masked_collect_scalar(
     changed
 }
 
-/// Clears every `mask` bit from `dst` (`dst &= !mask`) over the common
-/// prefix.
-pub fn and_not(dst: &mut [u64], mask: &[u64]) {
-    let n = dst.len().min(mask.len());
-    let (dst, mask) = (&mut dst[..n], &mask[..n]);
-    let mut d_chunks = dst.chunks_exact_mut(LANES);
-    let mut m_chunks = mask.chunks_exact(LANES);
-    for (dc, mc) in (&mut d_chunks).zip(&mut m_chunks) {
-        for l in 0..LANES {
-            dc[l] &= !mc[l];
-        }
-    }
-    for (dw, mw) in d_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(m_chunks.remainder())
-    {
-        *dw &= !mw;
-    }
-}
-
-/// Scalar reference for [`and_not`].
-pub fn and_not_scalar(dst: &mut [u64], mask: &[u64]) {
-    for (dw, mw) in dst.iter_mut().zip(mask) {
-        *dw &= !mw;
-    }
-}
-
 /// Total set bits in `words`.
 pub fn count_ones(words: &[u64]) -> usize {
     let mut lanes = [0usize; LANES];
@@ -403,15 +375,9 @@ mod tests {
     }
 
     #[test]
-    fn and_not_and_count_ones_match_scalar() {
+    fn count_ones_matches_scalar() {
         for len in LENS {
-            let mask = words(31, len, 8);
             let base = words(32, len, 8);
-            let mut d1 = base.clone();
-            let mut d2 = base.clone();
-            and_not(&mut d1, &mask);
-            and_not_scalar(&mut d2, &mask);
-            assert_eq!(d1, d2, "len={len}");
             assert_eq!(count_ones(&base), count_ones_scalar(&base), "len={len}");
         }
     }
@@ -431,13 +397,11 @@ mod tests {
 
     #[test]
     fn kernels_accept_shorter_src_than_dst() {
-        // or_into/and_not operate on the common prefix — the streaming
-        // column store ORs short predecessor columns into longer ones.
+        // or_into operates on the common prefix — the streaming column
+        // store ORs short predecessor columns into longer ones.
         let mut dst = vec![0u64; 10];
         let src = vec![u64::MAX; 4];
         assert!(or_into(&mut dst, &src));
         assert_eq!(count_ones(&dst), 4 * 64);
-        and_not(&mut dst, &src);
-        assert_eq!(count_ones(&dst), 0);
     }
 }

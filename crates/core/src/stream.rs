@@ -48,7 +48,6 @@
 //! emitted.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 use droidracer_trace::{
     IndexBuilder, LockId, MemLoc, Names, Op, OpKind, PostKind, TaskId, ThreadId, Trace,
@@ -60,7 +59,7 @@ use crate::engine::{fifo_delay_ok, EngineStats, HappensBefore};
 use crate::graph::{DirectEdges, GraphBuilder, HbGraph, NodeId};
 use crate::race::{find_races_with, pick_witness, BlockAccesses, Race};
 use crate::report::{CategoryCounts, ClassifiedRace};
-use crate::robust::{Budget, BudgetExhausted, BudgetReason};
+use crate::robust::{Budget, BudgetExhausted, BudgetReason, Poll};
 use crate::rules::HbConfig;
 use crate::simd;
 
@@ -390,69 +389,6 @@ impl Cols {
 }
 
 // ---------------------------------------------------------------------------
-// Budget polling
-// ---------------------------------------------------------------------------
-
-/// Cooperative budget polling for the streaming engine, mirroring the batch
-/// engine's poller: unlimited budgets cost one branch, deadlines are
-/// sampled every 64 ticks.
-#[derive(Debug, Clone)]
-struct StreamPoll {
-    limited: bool,
-    max_ops: Option<u64>,
-    max_matrix_bits: Option<u64>,
-    deadline: Option<Instant>,
-    ticks: u32,
-}
-
-impl StreamPoll {
-    fn new(budget: Option<&Budget>) -> Self {
-        match budget {
-            Some(b) => StreamPoll {
-                limited: b.is_limited(),
-                max_ops: b.max_ops,
-                max_matrix_bits: b.max_matrix_bits,
-                deadline: b.deadline,
-                ticks: 0,
-            },
-            None => StreamPoll {
-                limited: false,
-                max_ops: None,
-                max_matrix_bits: None,
-                deadline: None,
-                ticks: 0,
-            },
-        }
-    }
-
-    #[inline]
-    fn check(&mut self, work_done: u64) -> Result<(), BudgetReason> {
-        if !self.limited {
-            return Ok(());
-        }
-        if let Some(cap) = self.max_ops {
-            if work_done > cap {
-                return Err(BudgetReason::OpCap);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if self.ticks & 63 == 0 && Instant::now() >= deadline {
-                return Err(BudgetReason::Deadline);
-            }
-            self.ticks = self.ticks.wrapping_add(1);
-        }
-        Ok(())
-    }
-
-    fn check_bits(&self, bits: u64) -> Result<(), BudgetReason> {
-        match self.max_matrix_bits {
-            Some(cap) if bits > cap => Err(BudgetReason::MatrixBits),
-            _ => Ok(()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The incremental engine
 // ---------------------------------------------------------------------------
 
@@ -523,7 +459,7 @@ struct StreamEngine {
     summarize: bool,
     window: usize,
     retire_cursor: usize,
-    poll: StreamPoll,
+    poll: Poll,
     word_ops: u64,
     work_base: u64,
     peak_bits: u64,
@@ -579,7 +515,7 @@ impl StreamEngine {
             summarize: options.summarize,
             window: options.window.max(1),
             retire_cursor: 0,
-            poll: StreamPoll::new(options.budget.as_ref()),
+            poll: Poll::new(&options.budget.unwrap_or_default()),
             word_ops: 0,
             work_base,
             peak_bits: 0,

@@ -515,6 +515,10 @@ fn handle_conn(
                 return;
             }
         };
+        // Linux charges a running thread's time to the process CPU clock
+        // only at a scheduling event; yield so an in-process client that
+        // reads it once the reply lands counts this request (DESIGN §15).
+        std::thread::yield_now();
         if let Err(e) = write_frame(&mut conn, &response.encode()) {
             if is_timeout(&e) {
                 shared.bump("srv.conn_timeouts");

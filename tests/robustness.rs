@@ -57,3 +57,65 @@ fn clean_corpus_traces_parse_without_repairs() {
         );
     }
 }
+
+/// Two traces the strict parser accepts but the semantics checker rejects.
+/// With validation off (the default spec) the batch engine meets a post
+/// after the begin it schedules, which yields a backward POST edge, and two
+/// tasks overlapping on one looper, which yield an end-after-begin FIFO
+/// candidate. Both must still end in a typed report on every front door:
+/// the batch submission, the streaming one (whose degenerate fallback runs
+/// the batch engine), and a validating spec that rejects them up front.
+#[test]
+fn invalid_but_parseable_traces_never_panic_the_engines() {
+    use droidracer::core::{AnalysisService, ExitClass, JobSpec, LocalService};
+
+    let post_after_begin = "droidracer-trace v1\n\
+        thread t0 main initial \"main\"\n\
+        task p0 \"a\"\n\
+        op threadinit t0\n\
+        op attachQ t0\n\
+        op loopOnQ t0\n\
+        op begin t0 p0\n\
+        op end t0 p0\n\
+        op post t0 p0 t0\n";
+    let overlapping_tasks = "droidracer-trace v1\n\
+        thread t0 main initial \"main\"\n\
+        task p0 \"a\"\n\
+        task p1 \"b\"\n\
+        op threadinit t0\n\
+        op attachQ t0\n\
+        op loopOnQ t0\n\
+        op post t0 p0 t0\n\
+        op post t0 p1 t0\n\
+        op begin t0 p0\n\
+        op begin t0 p1\n\
+        op end t0 p0\n\
+        op end t0 p1\n";
+    let mut service = LocalService::new();
+    for (name, text) in [
+        ("post after begin", post_after_begin),
+        ("overlapping tasks", overlapping_tasks),
+    ] {
+        let spec = JobSpec::default();
+        let batch = service.submit(&spec, text).expect("in-process submit");
+        assert!(
+            matches!(batch.exit, ExitClass::Clean | ExitClass::Races),
+            "{name}: batch report {batch:?}"
+        );
+        for chunk_ops in [1, 4, 64] {
+            let streamed = service.submit_streaming(&spec, text, chunk_ops);
+            assert_eq!(streamed.exit, batch.exit, "{name}: chunk {chunk_ops}");
+            assert_eq!(streamed.races, batch.races, "{name}: chunk {chunk_ops}");
+        }
+        let validating = JobSpec {
+            validate: true,
+            ..JobSpec::default()
+        };
+        let rejected = service
+            .submit(&validating, text)
+            .expect("in-process submit");
+        assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
+        let rejected = service.submit_streaming(&validating, text, 4);
+        assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
+    }
+}
