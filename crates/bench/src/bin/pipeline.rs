@@ -22,14 +22,11 @@ use droidracer_bench::{engine_stats_table, maybe_export_profile, TextTable};
 use droidracer_core::bitmatrix::BitMatrix;
 use droidracer_core::{
     analyze_all, analyze_all_profiled, default_threads, effective_workers, par_map, Analysis,
-    AnalysisBuilder, Budget, EngineStats, ExitClass, HappensBefore, HbConfig, JobReport,
-    JobSpec, QuarantineCause, StreamOptions, StreamingAnalysis, SPAWN_MIN_ITEMS,
+    AnalysisBuilder, Budget, EngineStats, HappensBefore, HbConfig, QuarantineCause,
+    StreamOptions, StreamingAnalysis, SPAWN_MIN_ITEMS,
 };
 use droidracer_fuzz::{run_fuzz, FuzzConfig};
 use droidracer_obs::{chrome_trace, strip_wall_clock, MetricsRegistry};
-use droidracer_server::{
-    run_soak, status_counter, ChaosPlan, Client, RetryPolicy, Server, ServerConfig, Submission,
-};
 use droidracer_trace::{from_text_lenient, to_text, Trace};
 
 /// One measured sweep point.
@@ -205,21 +202,6 @@ fn main() {
     // summarizer must demonstrably bound memory on the largest app. The
     // `stream.*` counters land in the bench JSON.
     export_stream_counters(&names, &traces, &reference, &mut registry);
-
-    // Server load sweep: a live in-process daemon serves the whole corpus
-    // under mixed clean/corrupt/oversized/hostile traffic; every served
-    // report must equal the direct reference, and the second clean pass
-    // must be answered entirely from the cache. The `srv.*` counters land
-    // in the bench JSON.
-    export_server_counters(&names, &traces, &reference, &mut registry);
-
-    // Chaos soak: a fresh per-scenario server is subjected to the seeded
-    // fault plan (torn frames, dropped connections, stalls, shard panics,
-    // torn/corrupt WAL tails). Violation counters (`srv.chaos.*`) land in
-    // the bench JSON and must all be zero; activity totals land as
-    // `chaos.*` gauges so a fault plan that silently stops injecting
-    // faults is also visible.
-    export_chaos_counters(&mut registry);
 
     // Profile determinism check: the exported span structure — not just the
     // reports — must be bit-identical across thread counts once the
@@ -506,184 +488,6 @@ fn export_stream_counters(
     println!(
         "stream word-ops: {} vs batch {} ({ratio:.3}x)\n",
         totals.word_ops, batch_total
-    );
-}
-
-/// Drives a live in-process analysis server with mixed multi-tenant
-/// traffic and exports the `srv.*` service counters:
-///
-/// * a clean tenant submits every corpus trace twice — the first pass
-///   measures `srv.traces_per_sec` (gauge) and every report is asserted
-///   equal to the direct [`AnalysisBuilder`] reference, the second pass
-///   must be answered entirely from the content-addressed cache;
-/// * a corrupt tenant submits garbage (an `Invalid` report) and an
-///   oversized blob (rejected before any worker sees it);
-/// * a greedy tenant blows a one-op job budget (`srv.budget_exhausted`);
-/// * a hostile tenant's jobs panic via the fault hook and are quarantined
-///   (`srv.quarantined`) without disturbing anyone else.
-///
-/// Only the `srv.*` counters cross into the bench registry: the server's
-/// per-tenant `hb.*` counters stay out, so the corpus word-ops budget
-/// below keeps gating exactly the direct analyses. The cache contract is
-/// instead asserted through the server's own status: after both passes the
-/// clean tenant's cumulative `hb.word_ops` equals one batch pass over the
-/// corpus — the cache hits did zero analysis work.
-fn export_server_counters(
-    names: &[&'static str],
-    traces: &[Trace],
-    reference: &[Analysis],
-    registry: &mut MetricsRegistry,
-) {
-    let config = ServerConfig {
-        shards: 2,
-        fault_hook: Some(std::sync::Arc::new(|phase: &str| {
-            if phase == "job.hostile" {
-                panic!("bench-injected fault");
-            }
-        })),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind_tcp("127.0.0.1:0", config).expect("bind bench server");
-    let addr = server.local_addr().expect("tcp addr").to_string();
-    let handle = std::thread::spawn(move || server.run());
-
-    let texts: Vec<String> = traces.iter().map(to_text).collect();
-    let spec = JobSpec::default();
-    let expected: Vec<JobReport> = reference
-        .iter()
-        .map(|a| JobReport::from_analysis(a, Vec::new()))
-        .collect();
-
-    // Pass 1 (clean tenant): every served report equals the direct one.
-    // The clean client runs with the standard retry policy: against a
-    // healthy server it must never actually retry, which the zero
-    // `srv.client.retries` / `srv.client.gave_up` exports below pin.
-    let mut clean = Client::connect_tcp(&addr, "clean")
-        .expect("connect")
-        .with_retry_policy(RetryPolicy::standard())
-        .expect("retry policy");
-    let start = Instant::now();
-    for ((name, text), want) in names.iter().zip(&texts).zip(&expected) {
-        let sub = clean.submit_trace(&spec, text).expect("submit");
-        assert!(!sub.cache_hit(), "{name}: cache hit on first submission");
-        assert_eq!(sub.report(), Some(want), "{name}: served report diverged");
-    }
-    let first_pass = start.elapsed().as_secs_f64();
-
-    // Hostile traffic between the two clean passes.
-    let mut corrupt = Client::connect_tcp(&addr, "corrupt").expect("connect");
-    let sub = corrupt.submit_trace(&spec, "not a trace\n").expect("submit");
-    assert_eq!(
-        sub.report().expect("ran").exit,
-        ExitClass::Invalid,
-        "garbage must classify as Invalid"
-    );
-    let oversized = "x".repeat(9 << 20);
-    let sub = corrupt.submit_trace(&spec, &oversized).expect("submit");
-    assert!(
-        matches!(sub, Submission::Rejected { .. }),
-        "oversized trace must be rejected"
-    );
-    let mut greedy = Client::connect_tcp(&addr, "greedy").expect("connect");
-    let tiny = JobSpec {
-        max_ops: Some(1),
-        ..JobSpec::default()
-    };
-    let sub = greedy.submit_trace(&tiny, &texts[0]).expect("submit");
-    assert_eq!(
-        sub.report().expect("ran").exit,
-        ExitClass::Resource,
-        "one-op budget must exhaust"
-    );
-    let mut hostile = Client::connect_tcp(&addr, "hostile").expect("connect");
-    // A spec the clean pass never used: the content-addressed cache is
-    // shared across tenants, so the same spec + bytes would be answered
-    // from cache without ever reaching the fault hook.
-    let uncached = JobSpec {
-        validate: true,
-        ..JobSpec::default()
-    };
-    let sub = hostile.submit_trace(&uncached, &texts[0]).expect("submit");
-    let report = sub.report().expect("quarantined report");
-    assert_eq!(report.exit, ExitClass::Resource);
-    assert!(
-        report.diagnostics.iter().any(|d| d.contains("quarantined")),
-        "panic-injected job must be quarantined: {:?}",
-        report.diagnostics
-    );
-
-    // Pass 2 (clean tenant): all cache hits, bit-identical reports.
-    for ((name, text), want) in names.iter().zip(&texts).zip(&expected) {
-        let sub = clean.submit_trace(&spec, text).expect("submit");
-        assert!(sub.cache_hit(), "{name}: second submission missed the cache");
-        assert_eq!(sub.report(), Some(want), "{name}: cached report diverged");
-    }
-
-    let status = clean.status().expect("status");
-    let clean_stats = clean.stats();
-    clean.shutdown().expect("shutdown");
-    drop((clean, corrupt, greedy, hostile));
-    handle.join().expect("join").expect("server run failed");
-
-    let batch_word_ops: u64 = reference.iter().map(|a| a.hb().stats().word_ops).sum();
-    assert_eq!(
-        status_counter(&status, "tenant.clean.hb.word_ops"),
-        Some(batch_word_ops),
-        "cache hits must do zero analysis work"
-    );
-    for key in [
-        "srv.jobs",
-        "srv.cache_hits",
-        "srv.cache_stores",
-        "srv.quarantined",
-        "srv.budget_exhausted",
-        "srv.invalid",
-        "srv.rejected",
-    ] {
-        registry.counter_add(key, status_counter(&status, key).unwrap_or(0));
-    }
-    registry.gauge_set("srv.traces_per_sec", traces.len() as f64 / first_pass);
-    // Exported even when (expected to be) zero: a healthy server must not
-    // make a retrying client work for its answers.
-    registry.counter_add("srv.client.retries", clean_stats.retries);
-    registry.counter_add("srv.client.gave_up", clean_stats.gave_up);
-    assert_eq!(clean_stats.retries, 0, "clean pass needed retries");
-    assert_eq!(clean_stats.gave_up, 0, "clean pass abandoned a submission");
-    assert_eq!(
-        registry.counter("srv.cache_hits"),
-        Some(traces.len() as u64),
-        "second clean pass must be all cache hits"
-    );
-    assert_eq!(registry.counter("srv.quarantined"), Some(1));
-    assert_eq!(registry.counter("srv.budget_exhausted"), Some(1));
-    assert_eq!(registry.counter("srv.invalid"), Some(1));
-    println!(
-        "server sweep OK: {} traces served at {:.2} traces/sec, {} cache hits, \
-         1 invalid, 1 rejected, 1 budget-exhausted, 1 quarantined\n",
-        traces.len(),
-        traces.len() as f64 / first_pass,
-        traces.len(),
-    );
-}
-
-/// Runs the deterministic chaos soak (its own per-scenario servers and
-/// scratch stores — the main sweep's counters are untouched) and exports
-/// its verdict. Every violation counter must be zero: no accepted job
-/// lost or duplicated, every recomputed report bit-identical, no server
-/// crash, every durably-acked cache entry recovered after the simulated
-/// kill + restart.
-fn export_chaos_counters(registry: &mut MetricsRegistry) {
-    let dir = std::env::temp_dir().join(format!("droidracer-bench-chaos-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let plan = ChaosPlan::full(0xC4A055EED, &dir);
-    let report = run_soak(&plan).expect("chaos soak infrastructure");
-    std::fs::remove_dir_all(&dir).ok();
-    report.export(registry);
-    assert_eq!(report.violations(), 0, "chaos soak violations: {report:?}");
-    println!(
-        "chaos soak OK: {} scenarios, {} faults injected, {} jobs completed, \
-         {} client retries, 0 violations\n",
-        report.scenarios, report.faults_injected, report.jobs_completed, report.client_retries,
     );
 }
 

@@ -12,16 +12,18 @@
 //! * **no accepted job is lost or duplicated** — a report the client
 //!   actually received is durable: resubmitting the same content is a
 //!   cache hit (never a re-execution), in the same process and, for the
-//!   disk scenarios, across a simulated `kill -9` + restart;
+//!   disk scenarios, across a simulated `kill -9` + restart (a clean
+//!   shutdown leaves the log exactly as such a kill after the last ack
+//!   would);
 //! * **every completed report is bit-identical** to a direct
 //!   [`LocalService`] run of the same spec and trace.
 //!
 //! Violations are *counted, not panicked*: the soak returns a
-//! [`ChaosReport`] whose `srv.chaos.*` counters are all zero on a healthy
-//! build, so the pipeline bench can export and CI can pin them. Every
-//! fault site (torn offsets, flipped bytes, chunk sizes) derives from
-//! [`ChaosPlan::seed`] — replaying a seed replays the exact fault plan,
-//! in the spirit of reproducible-nondeterminism testing.
+//! [`ChaosReport`] whose violation counts are all zero on a healthy
+//! build, and `tests/chaos_soak.rs` asserts them. Every fault site (torn
+//! offsets, flipped bytes, chunk sizes) derives from [`ChaosPlan::seed`] —
+//! replaying a seed replays the exact fault plan, in the spirit of
+//! reproducible-nondeterminism testing.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -31,12 +33,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use droidracer_core::{AnalysisService, ExitClass, JobReport, JobSpec, LocalService};
-use droidracer_obs::MetricsRegistry;
 use droidracer_trace::{to_text, ThreadKind, TraceBuilder};
 
 use crate::client::{Client, RetryPolicy, Submission};
 use crate::server::{status_counter, Server, ServerConfig};
-use crate::store::{wal_record_ranges, wal_torn_tail_bytes, WalStore};
+use crate::store::{wal_record_ranges, wal_torn_tail_bytes, WAL_PREFIX};
 
 /// One fault class the soak can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +106,8 @@ impl ChaosPlan {
     }
 }
 
-/// Soak results. The `srv.chaos.*`-exported fields are violation counts —
-/// all zero on a healthy build; the activity fields record how much chaos
-/// actually ran (exported as gauges so clean-path counter pins stay
-/// all-zero).
+/// Soak results. The `VIOLATION` fields are all zero on a healthy build;
+/// the activity fields record how much chaos actually ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Scenarios executed.
@@ -143,20 +142,6 @@ impl ChaosReport {
             + self.mismatched_reports
             + self.server_crashes
             + self.unrecovered_entries
-    }
-
-    /// Exports the report: violation counts as `srv.chaos.*` counters
-    /// (pinned to zero by CI), activity as `chaos.*` gauges.
-    pub fn export(&self, registry: &mut MetricsRegistry) {
-        registry.counter_add("srv.chaos.lost_jobs", self.lost_jobs);
-        registry.counter_add("srv.chaos.duplicated_jobs", self.duplicated_jobs);
-        registry.counter_add("srv.chaos.mismatched_reports", self.mismatched_reports);
-        registry.counter_add("srv.chaos.server_crashes", self.server_crashes);
-        registry.counter_add("srv.chaos.unrecovered_entries", self.unrecovered_entries);
-        registry.gauge_set("chaos.scenarios", self.scenarios as f64);
-        registry.gauge_set("chaos.faults_injected", self.faults_injected as f64);
-        registry.gauge_set("chaos.jobs_completed", self.jobs_completed as f64);
-        registry.gauge_set("chaos.client_retries", self.client_retries as f64);
     }
 }
 
@@ -464,9 +449,8 @@ fn shard_panic(soak: &mut Soak<'_>) -> io::Result<()> {
 }
 
 /// Builds a WAL-backed server, runs `jobs` acknowledged submissions, and
-/// shuts down *without* compacting — leaving exactly the on-disk state a
-/// `kill -9` after the last acknowledgement would: snapshotless, every
-/// acked record in the log.
+/// shuts down — leaving exactly the on-disk state a `kill -9` after the
+/// last acknowledgement would: every acked record in the log.
 fn populate_wal(
     soak: &mut Soak<'_>,
     cache: &Path,
@@ -475,7 +459,6 @@ fn populate_wal(
 ) -> io::Result<()> {
     let harness = Harness::start(ServerConfig {
         cache_path: Some(cache.to_owned()),
-        skip_final_compaction: true,
         ..ServerConfig::default()
     })?;
     let mut client = harness.client("durable", soak.plan.seed ^ 0xd0)?;
@@ -502,7 +485,6 @@ fn verify_recovery(
 ) -> io::Result<()> {
     let harness = Harness::start(ServerConfig {
         cache_path: Some(cache.to_owned()),
-        skip_final_compaction: true,
         ..ServerConfig::default()
     })?;
     let mut client = harness.client("durable", soak.plan.seed ^ 0xd1)?;
@@ -544,42 +526,42 @@ fn torn_wal_tail(soak: &mut Soak<'_>, dir: &Path) -> io::Result<()> {
     // Tear: append a prefix of a record that was "in flight" at the kill.
     // Real crashes can only tear the unsynced tail — every acked record
     // was fsynced whole — so the tear goes after the last whole record.
-    let wal = WalStore::wal_path(&cache);
-    let mut bytes = std::fs::read(&wal)?;
+    let mut bytes = std::fs::read(&cache)?;
     let torn = wal_torn_tail_bytes(0xfeed_face, b"in-flight record the kill interrupted");
     let cut = soak.rng.nonzero_below(torn.len());
     bytes.extend_from_slice(&torn[..cut]);
-    std::fs::write(&wal, &bytes)?;
+    std::fs::write(&cache, &bytes)?;
     soak.report.faults_injected += 1;
 
     verify_recovery(soak, &cache, &spec, jobs, None, ("srv.wal_torn_truncated", 1))
 }
 
-/// Disk corruption: a byte flips inside a non-final WAL record. Restart
-/// must skip exactly that record (recovering its neighbors, including
-/// later ones) and recompute it bit-identically on resubmission.
+/// Disk corruption: a byte flips inside a non-final WAL record, in its
+/// prefix, body or terminator. Restart must skip exactly that record
+/// (recovering its neighbors, including later ones) and recompute it
+/// bit-identically on resubmission.
 fn corrupt_wal_record(soak: &mut Soak<'_>, dir: &Path) -> io::Result<()> {
     let cache = dir.join("cache.txt");
     let spec = JobSpec::default();
     let jobs = soak.plan.jobs_per_scenario.max(3);
     populate_wal(soak, &cache, &spec, jobs)?;
 
-    let wal = WalStore::wal_path(&cache);
-    let mut bytes = std::fs::read(&wal)?;
+    let mut bytes = std::fs::read(&cache)?;
     let ranges = wal_record_ranges(&bytes);
     if ranges.len() < jobs {
         // Fewer durable records than acked jobs: durability already broke.
         soak.report.unrecovered_entries += (jobs - ranges.len()) as u64;
         return Ok(());
     }
-    // Flip one byte mid-body of a record that is NOT the last, proving
-    // replay resyncs past the corruption instead of truncating at it.
-    // Records land in ack order, so record k holds soak trace k.
+    // Flip one byte of a record that is NOT the last, proving replay
+    // resyncs past the corruption instead of truncating at it. Records
+    // land in ack order, so record k holds soak trace k.
     let victim = (soak.rng.next() as usize) % (ranges.len() - 1);
-    let span = &ranges[victim];
-    let offset = span.start + soak.rng.nonzero_below(span.end - span.start);
+    let body = &ranges[victim];
+    let record = body.start - WAL_PREFIX..body.end + 1;
+    let offset = record.start + soak.rng.nonzero_below(record.len() + 1) - 1;
     bytes[offset] ^= 0x20;
-    std::fs::write(&wal, &bytes)?;
+    std::fs::write(&cache, &bytes)?;
     soak.report.faults_injected += 1;
 
     verify_recovery(soak, &cache, &spec, jobs, Some(victim), ("srv.wal_skipped", 1))

@@ -16,8 +16,8 @@
 //!   and to the tenant's remaining cumulative word-ops quota, so runaway
 //!   inputs hit a typed `Resource` cutoff;
 //! * results of completed batch jobs land in the content-addressed
-//!   [`ResultStore`], keyed by spec token + trace bytes — a resubmission
-//!   is answered from the cache with zero recomputation (the tenant's
+//!   result cache, keyed by spec token + trace bytes — a resubmission is
+//!   answered from the cache with zero recomputation (the tenant's
 //!   `hb.word_ops` counter does not move).
 //!
 //! On top of per-job isolation the serving layer degrades gracefully under
@@ -35,7 +35,7 @@
 //!   the in-flight job with a `Resource` quarantine report, and respawns
 //!   the worker on the same queue (`srv.shard_respawns`);
 //! * **crash-safe cache** — with [`ServerConfig::cache_path`] set the
-//!   cache is a [`WalStore`]: inserts are fsynced to a write-ahead log
+//!   cache is a [`WalStore`]: inserts are fsynced to its append-only log
 //!   *before* the response frame is written, so an acknowledged result
 //!   survives `kill -9` at any byte offset and is recovered on restart.
 //!
@@ -62,7 +62,7 @@ use droidracer_core::{
 use droidracer_obs::{MetricsRegistry, MetricValue, Recorder};
 
 use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
-use crate::store::{job_key, ResultStore, WalStore};
+use crate::store::{job_key, WalStore};
 
 /// The retry-after hint sent with [`Response::Overloaded`].
 const RETRY_AFTER_MS: u64 = 100;
@@ -86,8 +86,8 @@ pub struct ServerConfig {
     /// Cumulative word-ops quota per tenant; once a tenant has spent it,
     /// further jobs are refused with a `Resource` report.
     pub tenant_quota_ops: Option<u64>,
-    /// Persist the result cache here: snapshot at this path plus a
-    /// `.wal` write-ahead log alongside it, replayed on start.
+    /// Persist the result cache here: one append-only log at this path,
+    /// replayed on start.
     pub cache_path: Option<PathBuf>,
     /// Bound on each shard's admission queue (0 = default 64). A full
     /// queue sheds with [`Response::Overloaded`] instead of queueing.
@@ -95,13 +95,6 @@ pub struct ServerConfig {
     /// Per-connection read/write deadline; `None` blocks forever (the
     /// pre-hardening behavior). A timed-out connection is dropped.
     pub conn_timeout_ms: Option<u64>,
-    /// WAL appends between automatic snapshot compactions (0 = the
-    /// [`WalStore::DEFAULT_COMPACT_EVERY`] default).
-    pub wal_compact_every: usize,
-    /// Leave the WAL uncompacted on clean shutdown. Durability does not
-    /// need the final compaction (the log already has everything); the
-    /// chaos harness sets this to exercise WAL-only recovery.
-    pub skip_final_compaction: bool,
     /// Fault-injection hook, invoked as `job.<tenant>` on each job inside
     /// the quarantine boundary and as `shard.<tenant>` on the worker
     /// thread *outside* it (a panic there kills the worker and exercises
@@ -141,14 +134,14 @@ struct TenantState {
 
 /// The in-memory cache plus, when persistence is on, its durable form.
 enum Cache {
-    Mem(ResultStore),
+    Mem(BTreeMap<u64, JobReport>),
     Wal(WalStore),
 }
 
 impl Cache {
     fn get(&self, key: u64) -> Option<&JobReport> {
         match self {
-            Cache::Mem(s) => s.get(key),
+            Cache::Mem(s) => s.get(&key),
             Cache::Wal(s) => s.get(key),
         }
     }
@@ -700,12 +693,11 @@ impl Server {
     }
 
     /// Serves until a [`Request::Shutdown`] arrives, then drains the
-    /// shard queues and compacts the cache (if configured and not
-    /// [`ServerConfig::skip_final_compaction`]). Opens the durable store
-    /// first: the snapshot is loaded and the write-ahead log replayed over
-    /// it, truncating any torn tail; corrupt snapshot lines and
-    /// checksum-failed WAL records are skipped (counted under
-    /// `srv.cache_load_skipped`) and healed by the next compaction.
+    /// shard queues. Opens the durable store first: the log is replayed,
+    /// truncating any torn tail; a foreign header and damaged records are
+    /// skipped (counted under `srv.cache_load_skipped`), and the same open
+    /// compacts them out of the file. Shutdown leaves the log as it is:
+    /// every acknowledged result is already in it.
     ///
     /// # Errors
     ///
@@ -714,10 +706,7 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
         if let Some(path) = &shared.config.cache_path {
-            let (mut wal, diags) = WalStore::open(path)?;
-            if shared.config.wal_compact_every > 0 {
-                wal = wal.with_compact_every(shared.config.wal_compact_every);
-            }
+            let (wal, diags) = WalStore::open(path)?;
             let stats = wal.stats();
             let mut metrics = shared.metrics.lock().unwrap();
             metrics.counter_add("srv.cache_load_skipped", diags.len() as u64);
@@ -776,7 +765,7 @@ impl Server {
         }
         // Dropping our senders ends the shard workers once every
         // connection's clone is gone and the queues drain; joining the
-        // supervisors makes the final compaction see every completed job.
+        // supervisors lets every accepted job finish before `run` returns.
         drop(shard_txs);
         for supervisor in supervisors {
             let _ = supervisor.join();
@@ -784,11 +773,6 @@ impl Server {
 
         if let Listener::Unix(_, path) = &self.listener {
             let _ = std::fs::remove_file(path);
-        }
-        if !shared.config.skip_final_compaction {
-            if let Cache::Wal(wal) = &mut *shared.cache.lock().unwrap() {
-                wal.compact()?;
-            }
         }
         Ok(())
     }
@@ -798,7 +782,7 @@ impl Shared {
     fn new(config: ServerConfig) -> Self {
         Shared {
             config,
-            cache: Mutex::new(Cache::Mem(ResultStore::new())),
+            cache: Mutex::new(Cache::Mem(BTreeMap::new())),
             tenants: Mutex::new(BTreeMap::new()),
             metrics: Mutex::new(MetricsRegistry::new()),
             shutdown: AtomicBool::new(false),

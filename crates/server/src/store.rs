@@ -1,36 +1,31 @@
-//! The content-addressed result cache: [`ResultStore`] and its crash-safe
-//! durable form, [`WalStore`].
+//! The content-addressed result cache: [`WalStore`], one append-only,
+//! checksummed log at the cache path.
 //!
-//! [`ResultStore`] generalizes the text-persistence idiom of
-//! `explorer::db::ReplayDb` — a one-line header, one entry per line,
-//! corrupt lines *skipped with a diagnostic* instead of failing the load,
-//! and self-healing on save (rewriting drops every corrupt line) — from
-//! replay verdicts to analysis results. An entry maps a 64-bit content
-//! digest (spec token + trace bytes, see [`job_key`]) to a `JobReport`
-//! record; equal digests mean equal work, so a hit returns the stored
-//! report with zero recomputation.
+//! An entry maps a 64-bit content digest (spec token + trace bytes, see
+//! [`job_key`]) to a `JobReport` record; equal digests mean equal work, so
+//! a hit returns the stored report with zero recomputation.
 //!
-//! [`WalStore`] layers crash safety on top: every insert is appended to a
-//! checksummed write-ahead log and fsynced *before* the caller proceeds
-//! (i.e. before the server acknowledges the job), so a `kill -9` at any
-//! byte offset loses at most the record that was mid-append. Startup
-//! replays the WAL over the last snapshot, truncating a torn tail and
-//! skipping checksum-failed records; periodic compaction folds the log
-//! into the snapshot (written atomically: temp file + rename) and resets
-//! the WAL to its header.
+//! Every insert is appended to the log and fsynced *before* the caller
+//! proceeds (i.e. before the server acknowledges the job), so a `kill -9`
+//! at any byte offset loses at most the record that was mid-append. An
+//! append that fails is cut back off the log before the error returns.
+//!
+//! Opening replays the log. Damage inside it (a flipped byte in a
+//! record's prefix, body or terminator) costs only the damaged record:
+//! replay resumes at the next record whose framing and checksum hold.
+//! Damage with no such record after it is a torn tail and is truncated.
+//! If replay found dead records (superseded, damaged or unparsable),
+//! opening compacts the log to one record per live entry, atomically:
+//! temp file, fsync, rename over the log, fsync of the directory.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use droidracer_core::JobReport;
-
-/// Header line of the on-disk format; bump the version when the record
-/// encoding changes incompatibly (old caches then reload as empty, which
-/// is always safe — the cache is a pure memo).
-const STORE_HEADER: &str = "droidracer-resultstore v1";
 
 /// 64-bit FNV-1a over an arbitrary byte stream.
 #[derive(Debug, Clone, Copy)]
@@ -76,12 +71,13 @@ pub fn job_key(spec_token: &str, trace_bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// One problem found while loading a persisted store. Loading never fails
-/// for content reasons: every malformed line becomes a diagnostic and is
-/// dropped, and the next [`ResultStore::save`] heals the file.
+/// One problem found while opening a persisted store. Opening never fails
+/// for content reasons: every damaged record becomes a diagnostic and is
+/// dropped, and the same open compacts it out of the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreDiagnostic {
-    /// 1-based line number in the loaded file.
+    /// 1-based record number in the log, counting each damaged span as
+    /// one record (1 for a bad header).
     pub line: usize,
     /// What was wrong.
     pub message: String,
@@ -93,167 +89,21 @@ impl fmt::Display for StoreDiagnostic {
     }
 }
 
-/// An in-memory content-addressed map from job digest to [`JobReport`],
-/// with optional text persistence. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
-pub struct ResultStore {
-    entries: BTreeMap<u64, JobReport>,
-}
-
-impl ResultStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached reports.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds no reports.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up a report by digest.
-    pub fn get(&self, key: u64) -> Option<&JobReport> {
-        self.entries.get(&key)
-    }
-
-    /// Stores `report` under `key`, replacing any previous entry.
-    pub fn insert(&mut self, key: u64, report: JobReport) {
-        self.entries.insert(key, report);
-    }
-
-    /// Serializes the store: header line, then one `<hex digest> <record>`
-    /// line per entry in digest order (deterministic output).
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(64 * (self.entries.len() + 1));
-        out.push_str(STORE_HEADER);
-        out.push('\n');
-        for (key, report) in &self.entries {
-            out.push_str(&format!("{key:016x} {}\n", report.to_record()));
-        }
-        out
-    }
-
-    /// Parses a serialized store. A wrong or missing header yields an empty
-    /// store (plus a diagnostic); every malformed entry line is skipped
-    /// with a diagnostic. Content problems are never an `Err` — the cache
-    /// is a memo, and dropping entries only costs recomputation.
-    pub fn from_text(text: &str) -> (Self, Vec<StoreDiagnostic>) {
-        let mut store = ResultStore::new();
-        let mut diags = Vec::new();
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, header)) if header == STORE_HEADER => {}
-            Some((_, header)) => {
-                diags.push(StoreDiagnostic {
-                    line: 1,
-                    message: format!("unrecognized header `{header}`; ignoring file"),
-                });
-                return (store, diags);
-            }
-            None => return (store, diags),
-        }
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some((key_hex, record)) = line.split_once(' ') else {
-                diags.push(StoreDiagnostic {
-                    line: lineno,
-                    message: "missing digest/record separator".to_owned(),
-                });
-                continue;
-            };
-            let Ok(key) = u64::from_str_radix(key_hex, 16) else {
-                diags.push(StoreDiagnostic {
-                    line: lineno,
-                    message: format!("bad digest `{key_hex}`"),
-                });
-                continue;
-            };
-            match JobReport::from_record(record) {
-                Ok(report) => {
-                    if store.entries.insert(key, report).is_some() {
-                        diags.push(StoreDiagnostic {
-                            line: lineno,
-                            message: format!("duplicate digest {key:016x}; kept the later entry"),
-                        });
-                    }
-                }
-                Err(e) => diags.push(StoreDiagnostic {
-                    line: lineno,
-                    message: format!("corrupt record: {e}"),
-                }),
-            }
-        }
-        (store, diags)
-    }
-
-    /// Loads a store from `path`. A missing file is an empty store (first
-    /// run); content corruption becomes diagnostics, not errors.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine I/O failures (permissions, etc.).
-    pub fn load(path: &Path) -> io::Result<(Self, Vec<StoreDiagnostic>)> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Ok(Self::from_text(&text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Self::new(), Vec::new())),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Writes the canonical serialization to `path`, healing any corrupt
-    /// lines the load skipped. The write is atomic: the text goes to a
-    /// sibling temp file which is fsynced and then renamed over `path`, so
-    /// a crash mid-save can never leave a torn snapshot — readers see
-    /// either the old file or the new one, whole.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = sibling_tmp(path);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(self.to_text().as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-}
-
-/// The temp-file path `save` stages its atomic rename through.
-fn sibling_tmp(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-// ---------------------------------------------------------------------------
-// Write-ahead log
-// ---------------------------------------------------------------------------
-
-/// Header line of the WAL file; replay of a file with any other first line
-/// starts the log over (the WAL is a redo log over the snapshot — dropping
-/// it only costs recomputation, never correctness).
+/// Header line of the log; replay of a file with any other first line
+/// starts the log over (the cache is a pure memo, so dropping it only
+/// costs recomputation, never correctness).
 const WAL_HEADER: &str = "droidracer-wal v1\n";
 
 /// Fixed byte length of one WAL record's prefix:
 /// `R <key:016x> <len:08x> <sum:016x> ` — marker, three hex fields, four
 /// separators. The record body (`JobReport::to_record` bytes) follows,
 /// then one `\n`.
-const WAL_PREFIX: usize = 2 + 16 + 1 + 8 + 1 + 16 + 1;
+pub(crate) const WAL_PREFIX: usize = 2 + 16 + 1 + 8 + 1 + 16 + 1;
 
 /// Encodes one WAL record: fixed-width prefix (key, body length, FNV-1a
 /// checksum of the body) + body + newline. The explicit length lets replay
-/// skip a checksum-failed record precisely; the checksum catches bit rot
-/// and torn writes inside the body.
+/// step over a record without scanning its body; the checksum catches bit
+/// rot and torn writes inside the body.
 fn wal_encode(key: u64, body: &[u8]) -> Vec<u8> {
     let mut sum = Fnv64::new();
     sum.update(body);
@@ -266,82 +116,74 @@ fn wal_encode(key: u64, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// How replay classified one span of the WAL file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum WalSpan {
-    /// A structurally complete record: `(key, body_range)`. The checksum
-    /// may still fail — the caller verifies it.
-    Record(u64, std::ops::Range<usize>),
-    /// The bytes from here to EOF are a torn tail (an append that never
-    /// finished, or a prefix too mangled to resync past).
-    Torn,
+/// One record of a log image that replay accepts: a well-formed prefix,
+/// the declared body length, the terminator and a matching checksum.
+struct WalRecord {
+    /// Offset of the record's `R` marker.
+    start: usize,
+    key: u64,
+    /// The body, without the terminator at `body.end`.
+    body: Range<usize>,
 }
 
-/// Parses the next WAL span at `pos`. Returns the span and the position of
-/// the following span (`None` after a torn tail).
-fn wal_next(bytes: &[u8], pos: usize) -> Option<(WalSpan, Option<usize>)> {
-    if pos >= bytes.len() {
+/// A fixed-width lowercase hex field, exactly as [`wal_encode`] writes it.
+fn wal_hex(field: &[u8]) -> Option<u64> {
+    field.iter().try_fold(0u64, |acc, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
+}
+
+/// The record starting exactly at `pos`, if replay accepts it.
+fn wal_record_at(bytes: &[u8], pos: usize) -> Option<WalRecord> {
+    let prefix = bytes.get(pos..pos.checked_add(WAL_PREFIX)?)?;
+    if !prefix.starts_with(b"R ")
+        || prefix[18] != b' '
+        || prefix[27] != b' '
+        || prefix[WAL_PREFIX - 1] != b' '
+    {
         return None;
     }
-    let prefix = match bytes.get(pos..pos + WAL_PREFIX) {
-        Some(p) => p,
-        None => return Some((WalSpan::Torn, None)),
-    };
-    let structural = prefix.starts_with(b"R ")
-        && prefix[18] == b' '
-        && prefix[27] == b' '
-        && prefix[WAL_PREFIX - 1] == b' ';
-    let fields = structural
-        .then(|| std::str::from_utf8(&prefix[2..WAL_PREFIX - 1]).ok())
-        .flatten()
-        .and_then(|s| {
-            let mut it = s.split(' ');
-            let key = u64::from_str_radix(it.next()?, 16).ok()?;
-            let len = usize::from_str_radix(it.next()?, 16).ok()?;
-            let sum = u64::from_str_radix(it.next()?, 16).ok()?;
-            Some((key, len, sum))
-        });
-    let Some((key, len, _)) = fields else {
-        // The prefix itself is mangled: without a trustworthy length there
-        // is no safe way to resync, so everything from here is torn.
-        return Some((WalSpan::Torn, None));
-    };
-    let body_start = pos + WAL_PREFIX;
-    let end = body_start.checked_add(len).and_then(|e| e.checked_add(1));
-    match end {
-        Some(end) if end <= bytes.len() && bytes[end - 1] == b'\n' => {
-            Some((WalSpan::Record(key, body_start..end - 1), Some(end)))
-        }
-        // The record ran past EOF (or the terminator is missing): the
-        // append was torn mid-write.
-        _ => Some((WalSpan::Torn, None)),
+    let key = wal_hex(&prefix[2..18])?;
+    let len = usize::try_from(wal_hex(&prefix[19..27])?).ok()?;
+    let sum = wal_hex(&prefix[28..44])?;
+    let body = pos + WAL_PREFIX..(pos + WAL_PREFIX).checked_add(len)?;
+    if bytes.get(body.end) != Some(&b'\n') {
+        return None;
     }
+    let mut check = Fnv64::new();
+    check.update(&bytes[body.clone()]);
+    (check.finish() == sum).then_some(WalRecord {
+        start: pos,
+        key,
+        body,
+    })
 }
 
-/// Verifies a structurally complete record's checksum.
-fn wal_checksum_ok(bytes: &[u8], span: &std::ops::Range<usize>, declared: &[u8]) -> bool {
-    let mut sum = Fnv64::new();
-    sum.update(&bytes[span.clone()]);
-    format!("{:016x}", sum.finish()).as_bytes() == declared
+/// The first record at or after `from` that replay accepts. Damage (a
+/// mangled prefix, a wrong length, a lost terminator, a failed checksum)
+/// is stepped over byte by byte; a body cannot hide a whole record, since
+/// report records escape every control byte, `\n` included.
+fn wal_next_record(bytes: &[u8], from: usize) -> Option<WalRecord> {
+    (from..bytes.len()).find_map(|pos| wal_record_at(bytes, pos))
 }
 
-/// Byte ranges of every structurally complete record body in a WAL image,
+/// Byte ranges of the body of every record replay accepts in a WAL image,
 /// in file order. Exposed for the chaos harness and tests, which use it to
 /// aim disk faults at precise record boundaries.
-pub fn wal_record_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+pub fn wal_record_ranges(bytes: &[u8]) -> Vec<Range<usize>> {
     let mut ranges = Vec::new();
-    let mut pos = WAL_HEADER.len();
     if !bytes.starts_with(WAL_HEADER.as_bytes()) {
         return ranges;
     }
-    while let Some((span, next)) = wal_next(bytes, pos) {
-        if let WalSpan::Record(_, body) = span {
-            ranges.push(body);
-        }
-        match next {
-            Some(n) => pos = n,
-            None => break,
-        }
+    let mut pos = WAL_HEADER.len();
+    while let Some(record) = wal_next_record(bytes, pos) {
+        pos = record.body.end + 1;
+        ranges.push(record.body);
     }
     ranges
 }
@@ -358,90 +200,73 @@ pub fn wal_torn_tail_bytes(key: u64, body: &[u8]) -> Vec<u8> {
 pub struct WalStats {
     /// Records replayed from the WAL into the in-memory store.
     pub replayed: u64,
-    /// Structurally complete records dropped for a checksum or record-parse
-    /// failure (disk corruption inside one record; its neighbors survive).
+    /// Damaged spans stepped over, each followed by a record replay
+    /// accepts (bit rot inside one record; its neighbors survive), plus
+    /// records whose body does not parse as a report.
     pub skipped: u64,
     /// 1 if a torn tail was truncated during replay (a crash mid-append).
     pub torn_truncated: u64,
-    /// Records appended since the last compaction.
+    /// Records appended since open.
     pub appended: u64,
-    /// Snapshot compactions performed.
+    /// 1 if opening rewrote the log to drop dead records.
     pub compactions: u64,
 }
 
-/// A crash-safe [`ResultStore`]: snapshot + append-only write-ahead log.
+/// The crash-safe result cache: an in-memory map over an append-only log.
 /// See the [module docs](self) for the durability contract.
 #[derive(Debug)]
 pub struct WalStore {
-    mem: ResultStore,
-    snapshot: PathBuf,
-    wal_path: PathBuf,
+    mem: BTreeMap<u64, JobReport>,
+    path: PathBuf,
     wal: File,
-    /// Records in the WAL file right now (replayed + appended since open).
-    wal_records: usize,
-    /// Appends between automatic compactions.
-    compact_every: usize,
     stats: WalStats,
 }
 
 impl WalStore {
-    /// Default append count between automatic compactions.
-    pub const DEFAULT_COMPACT_EVERY: usize = 1024;
-
-    /// The WAL file that rides alongside a snapshot at `snapshot`.
-    pub fn wal_path(snapshot: &Path) -> PathBuf {
-        let mut name = snapshot.file_name().unwrap_or_default().to_os_string();
-        name.push(".wal");
-        snapshot.with_file_name(name)
-    }
-
-    /// Opens (or creates) the durable store rooted at `snapshot`: loads the
-    /// snapshot (self-healing, as [`ResultStore::load`]), replays the WAL
-    /// over it, truncates any torn tail so appends resume at a clean
-    /// boundary, and leaves the log open for appending.
+    /// Opens (or creates) the log at `path`, replays it into memory,
+    /// truncates any torn tail so appends resume at a clean boundary,
+    /// rewrites the log if replay found dead records, and leaves it open
+    /// for appending. A `<path>.tmp` left by a compaction that a crash
+    /// interrupted is removed first.
     ///
     /// # Errors
     ///
-    /// Genuine I/O failures only; every *content* problem (corrupt
-    /// snapshot lines, checksum-failed or torn WAL records) becomes a
-    /// diagnostic and is healed by the next compaction.
-    pub fn open(snapshot: &Path) -> io::Result<(Self, Vec<StoreDiagnostic>)> {
-        let (mem, mut diags) = ResultStore::load(snapshot)?;
-        let wal_path = Self::wal_path(snapshot);
+    /// Genuine I/O failures only; every *content* problem (a foreign
+    /// header, damaged or torn records) becomes a diagnostic.
+    pub fn open(path: &Path) -> io::Result<(Self, Vec<StoreDiagnostic>)> {
+        match std::fs::remove_file(tmp_path(path)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let mut store = WalStore {
-            mem,
-            snapshot: snapshot.to_owned(),
-            wal_path: wal_path.clone(),
+            mem: BTreeMap::new(),
+            path: path.to_owned(),
             wal: OpenOptions::new()
                 .read(true)
                 .create(true)
                 .append(true)
-                .open(&wal_path)?,
-            wal_records: 0,
-            compact_every: Self::DEFAULT_COMPACT_EVERY,
+                .open(path)?,
             stats: WalStats::default(),
         };
+        let mut diags = Vec::new();
         store.replay(&mut diags)?;
         Ok((store, diags))
     }
 
-    /// Sets the automatic-compaction threshold (appends since the last
-    /// compaction; clamped to ≥ 1).
-    pub fn with_compact_every(mut self, every: usize) -> Self {
-        self.compact_every = every.max(1);
-        self
-    }
-
-    /// Replays the WAL into memory. Truncates the file at the first torn
-    /// byte so subsequent appends land on a clean record boundary.
+    /// Replays the log into memory. Damage followed by an accepted record
+    /// is skipped; damage with none after it is a torn tail, truncated so
+    /// that appends land on a clean record boundary. If the file then
+    /// still holds dead records (superseded, unparsable or damaged), it
+    /// is compacted.
     fn replay(&mut self, diags: &mut Vec<StoreDiagnostic>) -> io::Result<()> {
         let mut bytes = Vec::new();
         self.wal.seek(SeekFrom::Start(0))?;
         self.wal.read_to_end(&mut bytes)?;
         if bytes.is_empty() {
+            // A new log: its directory entry must be durable too.
             self.wal.write_all(WAL_HEADER.as_bytes())?;
             self.wal.sync_data()?;
-            return Ok(());
+            return sync_dir(&self.path);
         }
         if !bytes.starts_with(WAL_HEADER.as_bytes()) {
             diags.push(StoreDiagnostic {
@@ -454,52 +279,62 @@ impl WalStore {
             return Ok(());
         }
         let mut pos = WAL_HEADER.len();
-        let mut record_no = 0usize;
-        while let Some((span, next)) = wal_next(&bytes, pos) {
-            record_no += 1;
-            match span {
-                WalSpan::Record(key, body) => {
-                    let declared = &bytes[pos + 28..pos + 44];
-                    let applied = wal_checksum_ok(&bytes, &body, declared)
-                        .then(|| std::str::from_utf8(&bytes[body.clone()]).ok())
-                        .flatten()
-                        .and_then(|text| JobReport::from_record(text).ok());
-                    match applied {
-                        Some(report) => {
-                            self.mem.insert(key, report);
-                            self.stats.replayed += 1;
-                        }
-                        None => {
-                            self.stats.skipped += 1;
-                            diags.push(StoreDiagnostic {
-                                line: record_no,
-                                message: format!(
-                                    "WAL record {record_no} (digest {key:016x}) failed its \
-                                     checksum or parse; skipped"
-                                ),
-                            });
-                        }
+        let mut span_no = 0usize;
+        let mut dead = 0usize;
+        while pos < bytes.len() {
+            span_no += 1;
+            let Some(record) = wal_next_record(&bytes, pos) else {
+                self.stats.torn_truncated += 1;
+                diags.push(StoreDiagnostic {
+                    line: span_no,
+                    message: format!(
+                        "torn WAL tail at byte {pos} ({} bytes dropped)",
+                        bytes.len() - pos
+                    ),
+                });
+                self.truncate_to(pos as u64)?;
+                break;
+            };
+            if record.start > pos {
+                self.stats.skipped += 1;
+                dead += 1;
+                diags.push(StoreDiagnostic {
+                    line: span_no,
+                    message: format!(
+                        "damaged WAL bytes {pos}..{} failed their framing or checksum; \
+                         skipped",
+                        record.start
+                    ),
+                });
+                span_no += 1;
+            }
+            let report = std::str::from_utf8(&bytes[record.body.clone()])
+                .ok()
+                .and_then(|text| JobReport::from_record(text).ok());
+            match report {
+                Some(report) => {
+                    if self.mem.insert(record.key, report).is_some() {
+                        dead += 1;
                     }
+                    self.stats.replayed += 1;
                 }
-                WalSpan::Torn => {
-                    self.stats.torn_truncated += 1;
+                None => {
+                    self.stats.skipped += 1;
+                    dead += 1;
                     diags.push(StoreDiagnostic {
-                        line: record_no,
+                        line: span_no,
                         message: format!(
-                            "torn WAL tail at byte {pos} ({} bytes dropped)",
-                            bytes.len() - pos
+                            "WAL record {span_no} (digest {:016x}) is not a report; skipped",
+                            record.key
                         ),
                     });
-                    self.truncate_to(pos as u64)?;
-                    break;
                 }
             }
-            match next {
-                Some(n) => pos = n,
-                None => break,
-            }
+            pos = record.body.end + 1;
         }
-        self.wal_records = record_no - usize::from(self.stats.torn_truncated > 0);
+        if dead > 0 {
+            self.compact()?;
+        }
         Ok(())
     }
 
@@ -521,7 +356,7 @@ impl WalStore {
 
     /// Looks up a report by digest (memory only — never touches disk).
     pub fn get(&self, key: u64) -> Option<&JobReport> {
-        self.mem.get(key)
+        self.mem.get(&key)
     }
 
     /// Replay/append statistics since open.
@@ -530,9 +365,8 @@ impl WalStore {
     }
 
     /// Stores `report` under `key` durably: the record is appended to the
-    /// WAL and fsynced before this returns, so once the caller acknowledges
-    /// the result, a crash at any byte offset cannot lose it. Triggers an
-    /// automatic compaction once `compact_every` appends accumulate.
+    /// log and fsynced before this returns, so once the caller acknowledges
+    /// the result, a crash at any byte offset cannot lose it.
     ///
     /// # Errors
     ///
@@ -540,46 +374,69 @@ impl WalStore {
     /// (a failed disk is degraded durability, not a lost result for this
     /// process's lifetime).
     pub fn insert(&mut self, key: u64, report: JobReport) -> io::Result<()> {
-        let body = report.to_record();
+        let record = wal_encode(key, report.to_record().as_bytes());
         self.mem.insert(key, report);
-        self.wal.write_all(&wal_encode(key, body.as_bytes()))?;
-        self.wal.sync_data()?;
-        self.wal_records += 1;
+        self.append(|wal| {
+            wal.write_all(&record)?;
+            wal.sync_data()
+        })?;
         self.stats.appended += 1;
-        if self.wal_records >= self.compact_every {
-            self.compact()?;
+        Ok(())
+    }
+
+    /// Runs `write`, which appends one record and syncs it. If it fails,
+    /// the log is cut back to its length before the append: a partial
+    /// record left in place would have every later append written behind
+    /// damage.
+    fn append(&mut self, write: impl FnOnce(&mut File) -> io::Result<()>) -> io::Result<()> {
+        let before = self.wal.seek(SeekFrom::End(0))?;
+        let written = write(&mut self.wal);
+        if written.is_err() {
+            self.truncate_to(before)?;
         }
-        Ok(())
+        written
     }
 
-    /// Folds the log into the snapshot: writes the full store atomically
-    /// to the snapshot path ([`ResultStore::save`]: temp + rename), then
-    /// resets the WAL to its header. A crash between the two steps only
-    /// replays records that are already in the snapshot — replay is
-    /// idempotent (last writer wins on equal keys).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn compact(&mut self) -> io::Result<()> {
-        self.mem.save(&self.snapshot)?;
-        self.truncate_to(0)?;
-        self.wal.write_all(WAL_HEADER.as_bytes())?;
-        self.wal.sync_data()?;
-        self.wal_records = 0;
+    /// Rewrites the log with one record per live entry, in digest order:
+    /// the new log goes to `<path>.tmp`, is fsynced and renamed over the
+    /// log, and the directory is fsynced so the rename itself is durable.
+    /// A crash at any point leaves either the old log or the new one at
+    /// the path, each whole and each holding every live entry. Appends
+    /// continue through the temp file's handle, which now names the log.
+    fn compact(&mut self) -> io::Result<()> {
+        let tmp = tmp_path(&self.path);
+        let mut bytes = WAL_HEADER.as_bytes().to_vec();
+        for (key, report) in &self.mem {
+            bytes.extend_from_slice(&wal_encode(*key, report.to_record().as_bytes()));
+        }
+        let mut wal = File::create(&tmp)?;
+        wal.write_all(&bytes)?;
+        wal.sync_data()?;
+        std::fs::rename(&tmp, &self.path)?;
+        // From the rename on, appends must go to the new file, even if the
+        // directory sync below fails.
+        self.wal = wal;
         self.stats.compactions += 1;
-        Ok(())
+        sync_dir(&self.path)
     }
+}
 
-    /// The snapshot path this store compacts to.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot
-    }
+/// Where [`WalStore`] writes a compacted log before renaming it over the
+/// log at `path`.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
 
-    /// The live WAL path.
-    pub fn log_path(&self) -> &Path {
-        &self.wal_path
-    }
+/// Fsyncs the directory holding `path`, which makes a create or a rename
+/// there durable.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -598,51 +455,6 @@ mod tests {
         assert_eq!(job_key("s", b"x"), job_key("s", b"x"));
     }
 
-    #[test]
-    fn round_trips_through_text() {
-        let mut store = ResultStore::new();
-        store.insert(job_key("spec", b"one"), sample_report("first, with | specials"));
-        store.insert(job_key("spec", b"two"), sample_report("second"));
-        let text = store.to_text();
-        let (back, diags) = ResultStore::from_text(&text);
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(back.len(), 2);
-        for (key, report) in &store.entries {
-            assert_eq!(back.get(*key), Some(report));
-        }
-        // Deterministic serialization: re-serializing is a fixed point.
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn corrupt_lines_are_skipped_and_healed() {
-        let mut store = ResultStore::new();
-        store.insert(1, sample_report("keep me"));
-        store.insert(2, sample_report("and me"));
-        let mut text = store.to_text();
-        text.push_str("zzzz not-a-digest\n");
-        text.push_str("00000000000000ff exit=clean counts=bogus\n");
-        text.push_str("missingseparator\n");
-        let (loaded, diags) = ResultStore::from_text(&text);
-        assert_eq!(loaded.len(), 2, "good entries survive");
-        assert_eq!(diags.len(), 3, "{diags:?}");
-        assert!(diags.iter().all(|d| d.line > 1));
-        // Healing: the rewrite contains only the good entries.
-        let healed = loaded.to_text();
-        assert_eq!(ResultStore::from_text(&healed).1, Vec::new());
-        assert_eq!(healed.lines().count(), 3, "header + 2 entries");
-    }
-
-    #[test]
-    fn wrong_header_loads_empty_with_diagnostic() {
-        let (store, diags) = ResultStore::from_text("replaydb v9\nwhatever\n");
-        assert!(store.is_empty());
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("unrecognized header"));
-        let (store, diags) = ResultStore::from_text("");
-        assert!(store.is_empty() && diags.is_empty());
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("walstore-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -651,20 +463,26 @@ mod tests {
     }
 
     #[test]
-    fn wal_survives_reopen_without_compaction() {
+    fn wal_survives_reopen() {
         let dir = temp_dir("reopen");
-        let snap = dir.join("cache.txt");
+        let path = dir.join("cache.txt");
         {
-            let (mut store, diags) = WalStore::open(&snap).unwrap();
+            let (mut store, diags) = WalStore::open(&path).unwrap();
             assert!(diags.is_empty());
             store.insert(7, sample_report("seven")).unwrap();
             store.insert(9, sample_report("nine")).unwrap();
-            // No compact(), no snapshot save: dropping here models a crash
-            // after the acks.
+            // Dropping here models a crash after the acks.
         }
-        assert!(!snap.exists(), "nothing compacted to the snapshot yet");
-        let (store, diags) = WalStore::open(&snap).unwrap();
+        // A temp file left by a compaction that a crash interrupted.
+        std::fs::write(dir.join("cache.txt.tmp"), b"droidracer-wal v1\nR 00").unwrap();
+        let (store, diags) = WalStore::open(&path).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files, vec![path.clone()], "the log is the only file");
         assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(store.stats().compactions, 0, "no dead records");
         assert_eq!(store.stats().replayed, 2);
         assert_eq!(store.get(7), Some(&sample_report("seven")));
         assert_eq!(store.get(9), Some(&sample_report("nine")));
@@ -674,33 +492,32 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_appends_resume() {
         let dir = temp_dir("torn");
-        let snap = dir.join("cache.txt");
+        let path = dir.join("cache.txt");
         {
-            let (mut store, _) = WalStore::open(&snap).unwrap();
+            let (mut store, _) = WalStore::open(&path).unwrap();
             store.insert(1, sample_report("whole")).unwrap();
         }
-        let wal = WalStore::wal_path(&snap);
-        let mut bytes = std::fs::read(&wal).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         let whole_len = bytes.len();
         // Simulate a crash mid-append: half of a second record.
         let torn = wal_encode(2, sample_report("torn").to_record().as_bytes());
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
-        std::fs::write(&wal, &bytes).unwrap();
-        let (mut store, diags) = WalStore::open(&snap).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut store, diags) = WalStore::open(&path).unwrap();
         assert_eq!(store.stats().torn_truncated, 1);
         assert_eq!(store.stats().replayed, 1);
         assert!(diags.iter().any(|d| d.message.contains("torn WAL tail")), "{diags:?}");
         assert_eq!(store.get(1), Some(&sample_report("whole")));
         assert_eq!(store.get(2), None, "the in-flight record is lost, nothing else");
         assert_eq!(
-            std::fs::metadata(&wal).unwrap().len(),
+            std::fs::metadata(&path).unwrap().len(),
             whole_len as u64,
             "tail truncated back to the last whole record"
         );
         // Appends resume on the clean boundary and replay afterwards.
         store.insert(3, sample_report("after")).unwrap();
         drop(store);
-        let (store, diags) = WalStore::open(&snap).unwrap();
+        let (store, diags) = WalStore::open(&path).unwrap();
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(store.stats().replayed, 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -709,91 +526,149 @@ mod tests {
     #[test]
     fn corrupt_record_is_skipped_but_neighbors_survive() {
         let dir = temp_dir("corrupt");
-        let snap = dir.join("cache.txt");
+        let path = dir.join("cache.txt");
         {
-            let (mut store, _) = WalStore::open(&snap).unwrap();
+            let (mut store, _) = WalStore::open(&path).unwrap();
             store.insert(1, sample_report("first")).unwrap();
-            store.insert(2, sample_report("second")).unwrap();
+            store.insert(0xa2, sample_report("second")).unwrap();
             store.insert(3, sample_report("third")).unwrap();
         }
-        let wal = WalStore::wal_path(&snap);
-        let mut bytes = std::fs::read(&wal).unwrap();
-        let ranges = wal_record_ranges(&bytes);
+        let clean = std::fs::read(&path).unwrap();
+        let ranges = wal_record_ranges(&clean);
         assert_eq!(ranges.len(), 3);
-        // Flip a byte inside the second record's body.
-        let mid = (ranges[1].start + ranges[1].end) / 2;
-        bytes[mid] ^= 0x41;
-        std::fs::write(&wal, &bytes).unwrap();
-        let (store, diags) = WalStore::open(&snap).unwrap();
-        assert_eq!(store.stats().skipped, 1, "{diags:?}");
-        assert_eq!(store.stats().replayed, 2);
-        assert_eq!(store.get(1), Some(&sample_report("first")));
-        assert_eq!(store.get(2), None);
-        assert_eq!(store.get(3), Some(&sample_report("third")), "records after the flip survive");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_folds_wal_into_snapshot() {
-        let dir = temp_dir("compact");
-        let snap = dir.join("cache.txt");
-        {
-            let (store, _) = WalStore::open(&snap).unwrap();
-            let mut store = store.with_compact_every(2);
-            store.insert(1, sample_report("a")).unwrap();
-            assert_eq!(store.stats().compactions, 0);
-            store.insert(2, sample_report("b")).unwrap();
-            assert_eq!(store.stats().compactions, 1, "threshold reached");
-            store.insert(3, sample_report("c")).unwrap();
+        let body = ranges[1].clone();
+        let start = body.start - WAL_PREFIX;
+        // One byte of the second record: its marker, a key digit, the key's
+        // `a` in uppercase (not what `wal_encode` writes), its top length
+        // digit turned into another hex digit (the declared end runs past
+        // EOF), a checksum digit, mid-body, and its terminator.
+        for (offset, mask) in [
+            (start, 0x41),
+            (start + 2, 0x41),
+            (start + 16, 0x20),
+            (start + 19, 0x01),
+            (start + 30, 0x20),
+            ((body.start + body.end) / 2, 0x41),
+            (body.end, 0x41),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[offset] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            let (store, diags) = WalStore::open(&path).unwrap();
+            let stats = store.stats();
+            assert_eq!(stats.skipped, 1, "byte {offset}: {diags:?}");
+            assert_eq!(stats.torn_truncated, 0, "byte {offset}");
+            assert_eq!(stats.replayed, 2, "byte {offset}");
+            assert_eq!(store.get(1), Some(&sample_report("first")), "byte {offset}");
+            assert_eq!(store.get(0xa2), None, "byte {offset}");
+            // Records after the damage survive.
+            assert_eq!(store.get(3), Some(&sample_report("third")), "byte {offset}");
+            assert_eq!(stats.compactions, 1, "byte {offset}: compacted");
+            assert_eq!(wal_record_ranges(&std::fs::read(&path).unwrap()).len(), 2);
         }
-        // Snapshot holds the compacted entries; the WAL holds only the one
-        // appended after compaction.
-        let (snap_only, _) = ResultStore::load(&snap).unwrap();
-        assert_eq!(snap_only.len(), 2);
-        let wal_bytes = std::fs::read(WalStore::wal_path(&snap)).unwrap();
-        assert_eq!(wal_record_ranges(&wal_bytes).len(), 1);
-        let (store, diags) = WalStore::open(&snap).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_append_is_cut_back() {
+        let dir = temp_dir("failed-append");
+        let path = dir.join("cache.txt");
+        let (mut store, _) = WalStore::open(&path).unwrap();
+        store.insert(1, sample_report("before")).unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        // A write that stops part-way, as on a full disk.
+        let record = wal_encode(2, sample_report("partial").to_record().as_bytes());
+        let failed = store.append(|wal| {
+            wal.write_all(&record[..record.len() / 2])?;
+            Err(io::Error::other("no space left on device"))
+        });
+        assert!(failed.is_err());
+        // The partial record is cut off.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
+        store.insert(3, sample_report("after")).unwrap();
+        drop(store);
+        let (store, diags) = WalStore::open(&path).unwrap();
         assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(store.len(), 3, "snapshot + replayed record");
+        assert_eq!(store.get(1), Some(&sample_report("before")));
+        assert_eq!(store.get(3), Some(&sample_report("after")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn save_is_atomic_via_temp_and_rename() {
-        let dir = temp_dir("atomic");
+    fn compaction_drops_dead_records() {
+        let dir = temp_dir("compact");
         let path = dir.join("cache.txt");
-        let mut store = ResultStore::new();
-        store.insert(5, sample_report("x"));
-        store.save(&path).unwrap();
-        assert!(!sibling_tmp(&path).exists(), "temp staging file renamed away");
-        let (back, diags) = ResultStore::load(&path).unwrap();
-        assert!(diags.is_empty());
-        assert_eq!(back.len(), 1);
+        {
+            let (mut store, _) = WalStore::open(&path).unwrap();
+            for key in 1..=4 {
+                store.insert(key, sample_report("old")).unwrap();
+            }
+            // Two superseded records: keys 1 and 3 are stored again.
+            store.insert(1, sample_report("new")).unwrap();
+            store.insert(3, sample_report("new")).unwrap();
+            assert_eq!(store.stats().compactions, 0, "appends never compact");
+        }
+        // A damaged record: key 2's record fails its checksum on replay.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let ranges = wal_record_ranges(&bytes);
+        assert_eq!(ranges.len(), 6);
+        bytes[(ranges[1].start + ranges[1].end) / 2] ^= 0x41;
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut store, diags) = WalStore::open(&path).unwrap();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(store.stats().skipped, 1);
+        assert_eq!(store.stats().compactions, 1, "3 dead, 1 compaction");
+        assert_eq!(store.len(), 3);
+        let tmp = dir.join("cache.txt.tmp");
+        assert!(!tmp.exists(), "the temp file was renamed over the log");
+        let mut live = WAL_HEADER.as_bytes().to_vec();
+        for (key, tag) in [(1, "new"), (3, "new"), (4, "old")] {
+            live.extend_from_slice(&wal_encode(key, sample_report(tag).to_record().as_bytes()));
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            live,
+            "one record per live entry, in digest order"
+        );
+        // Appends after the rename land in the new log and replay clean.
+        store.insert(5, sample_report("after")).unwrap();
+        drop(store);
+        let (store, diags) = WalStore::open(&path).unwrap();
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(store.stats().compactions, 0, "a clean log is left as it is");
+        assert_eq!(store.stats().replayed, 4);
+        assert_eq!(store.get(1), Some(&sample_report("new")));
+        assert_eq!(store.get(2), None);
+        assert_eq!(store.get(4), Some(&sample_report("old")));
+        assert_eq!(store.get(5), Some(&sample_report("after")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn load_and_save_heal_on_disk() {
-        let dir = std::env::temp_dir().join(format!("resultstore-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn foreign_file_restarts_the_log() {
+        let dir = temp_dir("foreign");
         let path = dir.join("cache.txt");
-        // Missing file: empty store, no diagnostics.
-        let (empty, diags) = ResultStore::load(&path).unwrap();
-        assert!(empty.is_empty() && diags.is_empty());
-        // Save entries plus inject corruption; reload skips, save heals.
-        let mut store = ResultStore::new();
-        store.insert(42, sample_report("persisted"));
-        store.save(&path).unwrap();
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("garbage line\n");
-        std::fs::write(&path, &text).unwrap();
-        let (loaded, diags) = ResultStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(diags.len(), 1);
-        loaded.save(&path).unwrap();
-        let (healed, diags) = ResultStore::load(&path).unwrap();
-        assert_eq!(healed.len(), 1);
-        assert!(diags.is_empty(), "save healed the file: {diags:?}");
+        // A result-store snapshot, the format earlier versions kept at the
+        // cache path.
+        let snapshot = format!(
+            "droidracer-resultstore v1\n{:016x} {}\n",
+            7,
+            sample_report("snapshot").to_record()
+        );
+        std::fs::write(&path, snapshot).unwrap();
+        let (mut store, diags) = WalStore::open(&path).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            diags[0].message.contains("unrecognized WAL header"),
+            "{diags:?}"
+        );
+        store.insert(7, sample_report("recomputed")).unwrap();
+        drop(store);
+        let (store, diags) = WalStore::open(&path).unwrap();
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(7), Some(&sample_report("recomputed")));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

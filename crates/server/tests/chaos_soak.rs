@@ -1,8 +1,8 @@
 //! The chaos soak as a test: every fault scenario, zero violations.
 //!
-//! This is the same seeded soak the pipeline bench exports counters from;
-//! here the invariants are hard assertions. Two different seeds guard
-//! against a fault plan that happens to miss the interesting byte offsets.
+//! The soak counts violations in a `ChaosReport`; here they are hard
+//! assertions. Two different seeds guard against a fault plan that
+//! happens to miss the interesting byte offsets.
 
 use droidracer_server::{run_soak, ChaosPlan, Scenario};
 

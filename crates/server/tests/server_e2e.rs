@@ -401,6 +401,8 @@ fn invalid_and_torn_traffic_keeps_the_connection_and_server_alive() {
     // The polite client still works.
     let ok = client.submit_trace(&JobSpec::default(), &racy_text()).unwrap();
     assert!(ok.report().is_some());
+    let status = client.status().expect("status");
+    assert_eq!(status_counter(&status, "srv.invalid"), Some(1), "{status}");
     client.shutdown().expect("shutdown");
     drop(client);
     server.join().expect("join").expect("clean run");

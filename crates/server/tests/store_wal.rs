@@ -55,15 +55,15 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// Writes `n` records through a real WalStore and returns the raw log.
 fn build_wal(dir: &std::path::Path, n: usize) -> (std::path::PathBuf, Vec<u8>) {
-    let snap = dir.join("cache.txt");
+    let path = dir.join("cache.txt");
     {
-        let (mut store, _) = WalStore::open(&snap).unwrap();
+        let (mut store, _) = WalStore::open(&path).unwrap();
         for i in 0..n {
             store.insert(i as u64, report(&format!("record {i}"))).unwrap();
         }
     }
-    let bytes = std::fs::read(WalStore::wal_path(&snap)).unwrap();
-    (snap, bytes)
+    let bytes = std::fs::read(&path).unwrap();
+    (path, bytes)
 }
 
 /// The contract `kill -9` holds the WAL to, checked exhaustively: truncate
@@ -80,10 +80,10 @@ fn torn_tail_at_every_byte_offset_recovers_the_durable_prefix() {
     for cut in 0..=full.len() {
         let case = dir.join(format!("cut-{cut}"));
         std::fs::create_dir_all(&case).unwrap();
-        let snap = case.join("cache.txt");
-        std::fs::write(WalStore::wal_path(&snap), &full[..cut]).unwrap();
+        let path = case.join("cache.txt");
+        std::fs::write(&path, &full[..cut]).unwrap();
 
-        let (mut store, _diags) = WalStore::open(&snap).unwrap_or_else(|e| {
+        let (mut store, _diags) = WalStore::open(&path).unwrap_or_else(|e| {
             panic!("open must survive a tear at byte {cut}: {e}");
         });
         // A record survives iff its whole encoding — body plus the
@@ -106,7 +106,7 @@ fn torn_tail_at_every_byte_offset_recovers_the_durable_prefix() {
         // the old prefix and the new record are there.
         store.insert(99, report("post-tear")).unwrap();
         drop(store);
-        let (reopened, diags) = WalStore::open(&snap).unwrap();
+        let (reopened, diags) = WalStore::open(&path).unwrap();
         assert!(diags.is_empty(), "cut {cut}: second open must be clean: {diags:?}");
         assert_eq!(reopened.len(), expect.len() + 1, "cut {cut}");
         assert_eq!(reopened.get(99), Some(&report("post-tear")), "cut {cut}");
@@ -128,10 +128,10 @@ proptest! {
         n in 1usize..4,
     ) {
         let dir = scratch(&format!("junk-{n}-{}", junk.len()));
-        let (snap, mut bytes) = build_wal(&dir, n);
+        let (path, mut bytes) = build_wal(&dir, n);
         bytes.extend_from_slice(&junk);
-        std::fs::write(WalStore::wal_path(&snap), &bytes).unwrap();
-        let (store, _diags) = WalStore::open(&snap).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let (store, _diags) = WalStore::open(&path).unwrap();
         for i in 0..n as u64 {
             // All original records recovered — unless the junk happened to
             // parse as a structurally-valid record that overwrote a key,
@@ -150,19 +150,18 @@ proptest! {
         cut_frac in 0u32..1001,
     ) {
         let dir = scratch(&format!("cutprop-{}-{cut_frac}", tags.len()));
-        let snap = dir.join("cache.txt");
+        let path = dir.join("cache.txt");
         {
-            let (mut store, _) = WalStore::open(&snap).unwrap();
+            let (mut store, _) = WalStore::open(&path).unwrap();
             for (i, tag) in tags.iter().enumerate() {
                 store.insert(i as u64, report(tag)).unwrap();
             }
         }
-        let wal = WalStore::wal_path(&snap);
-        let full = std::fs::read(&wal).unwrap();
+        let full = std::fs::read(&path).unwrap();
         let ranges = wal_record_ranges(&full);
         let cut = (full.len() as u64 * u64::from(cut_frac) / 1000) as usize;
-        std::fs::write(&wal, &full[..cut]).unwrap();
-        let (store, _) = WalStore::open(&snap).unwrap();
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let (store, _) = WalStore::open(&path).unwrap();
         let survivors = ranges.iter().filter(|r| r.end < cut).count();
         prop_assert_eq!(store.len(), survivors);
         for (i, tag) in tags.iter().enumerate().take(survivors) {

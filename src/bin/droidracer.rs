@@ -118,8 +118,8 @@ fn usage() -> ExitCode {
       --conn-timeout-ms MS  per-connection read/write deadline; slow or
                         stalled peers are disconnected (default: none)
       --cache FILE      persist the result cache across restarts
-                        (crash-safe: appends to FILE.wal, compacts on
-                        shutdown)
+                        (crash-safe: an fsynced append-only log at FILE,
+                        rewritten on start if it holds dead records)
   droidracer submit <trace-file> [options]
       --connect ADDR    server TCP address (default 127.0.0.1:7911)
       --socket PATH     connect over a Unix socket instead

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use droidracer::apps::corpus;
 use droidracer::core::{AnalysisBuilder, AnalysisService, ExitClass, JobReport, JobSpec};
-use droidracer::server::{status_counter, Client, Server, ServerConfig};
+use droidracer::server::{status_counter, Client, RetryPolicy, Server, ServerConfig};
 use droidracer::trace::to_text;
 
 /// Corpus trace texts with their directly-computed reference reports.
@@ -33,7 +33,12 @@ fn served_corpus_reports_equal_direct_analysis() {
     let handle = std::thread::spawn(move || server.run());
 
     let spec = JobSpec::default();
-    let mut client = Client::connect_tcp(&addr, "corpus").expect("connect");
+    // The standard retry policy: against a healthy server it must never
+    // actually retry.
+    let mut client = Client::connect_tcp(&addr, "corpus")
+        .expect("connect")
+        .with_retry_policy(RetryPolicy::standard())
+        .expect("retry policy");
     let expected = corpus_reports();
     for (name, text, want) in &expected {
         let sub = client.submit_trace(&spec, text).expect("submit");
@@ -59,6 +64,16 @@ fn served_corpus_reports_equal_direct_analysis() {
     assert_eq!(
         status_counter(&after, "srv.cache_hits"),
         Some(expected.len() as u64)
+    );
+    assert_eq!(
+        client.stats().retries,
+        0,
+        "healthy corpus passes needed retries"
+    );
+    assert_eq!(
+        client.stats().gave_up,
+        0,
+        "healthy corpus passes abandoned a submission"
     );
 
     client.shutdown().expect("shutdown");
