@@ -6,11 +6,12 @@
 //! determinism contract), and emits the measured traces/sec into
 //! `BENCH_pipeline.json` alongside the per-rule engine counters.
 //!
-//! The run also enforces the checked-in word-ops budget
-//! (`tests/data/wordops_budget.txt`): if the corpus-total `word_ops`
-//! exceeds the budget the binary exits nonzero, failing CI's perf-guard
-//! step. Run with `BLESS=1` to re-bless the budget after an intentional
-//! engine change.
+//! The run also enforces the checked-in word-ops budgets
+//! (`tests/data/wordops_budget.txt` for the corpus-total batch `word_ops`,
+//! `wordops_budget_component.txt` and `wordops_budget_stream.txt` for the
+//! component corpus and the streamed corpus): if a total exceeds its
+//! budget the binary exits nonzero, failing CI's perf-guard step. Run with
+//! `BLESS=1` to re-bless the budgets after an intentional engine change.
 //!
 //! Run with `cargo run --release -p droidracer-bench --bin pipeline`.
 //! The JSON lands in the current directory.
@@ -405,7 +406,9 @@ fn export_closure_latency(names: &[&'static str], traces: &[Trace], registry: &m
 /// the batch reference exactly, and exports the summed `stream.*` counters
 /// plus a `stream.peak_matrix_bits` gauge (corpus max). The memory-bound
 /// contract is asserted on the largest app: K-9 Mail's streamed matrix peak
-/// must stay below the batch engine's dense relation-matrix footprint.
+/// must stay below the batch engine's dense relation-matrix footprint. The
+/// summed `stream.word_ops` is gated by its own exact budget
+/// (`tests/data/wordops_budget_stream.txt`, `BLESS=1` rewrites it).
 fn export_stream_counters(
     names: &[&'static str],
     traces: &[Trace],
@@ -488,6 +491,17 @@ fn export_stream_counters(
     println!(
         "stream word-ops: {} vs batch {} ({ratio:.3}x)\n",
         totals.word_ops, batch_total
+    );
+    // The column engine's own exact budget: its word-ops are as
+    // deterministic as the row engine's.
+    enforce_ceiling(
+        "wordops_budget_stream.txt",
+        "# Corpus-total streaming (column engine) `word_ops` budget: the 15\n\
+         # corpus apps streamed in 64-op chunks with the summarizer on,\n\
+         # enforced by the pipeline bench.",
+        "corpus stream word_ops",
+        totals.word_ops as f64,
+        totals.word_ops as f64,
     );
 }
 

@@ -127,7 +127,7 @@ impl BitMatrix {
     }
 
     /// Word `w` of row `i` — the single-load column probe used by the
-    /// FIFO/NOPRE watcher scans.
+    /// NOPRE scan.
     #[inline]
     pub fn row_word(&self, i: usize, w: usize) -> u64 {
         self.bits[i * self.words_per_row + w]

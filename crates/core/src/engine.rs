@@ -17,13 +17,16 @@
 //! The generator rules FIFO and NOPRE consult the combined relation while
 //! producing new `≺st` edges, so the whole computation is a worklist
 //! fixpoint: saturate transitivity, fire generator rules, repeat until no
-//! rule adds an edge.
+//! rule adds an edge. The generators run as one sweep per looper
+//! ([`crate::generators`]); the reference engine keeps the pair-by-pair
+//! statement of the two rules it is checked against.
 
 use std::collections::HashMap;
 
 use droidracer_trace::{LockId, Op, OpKind, PostKind, TaskId, ThreadId, Trace, TraceIndex};
 
 use crate::bitmatrix::{BitIter, BitMatrix, BitSet};
+use crate::generators::{fifo_delay_ok, Generators, SweepHost};
 use crate::graph::{DirectEdges, HbGraph, NodeId};
 use crate::robust::{Budget, BudgetExhausted, BudgetReason, Poll};
 use crate::rules::{HbConfig, RuleSet};
@@ -41,12 +44,20 @@ use crate::rules::{HbConfig, RuleSet};
 pub struct EngineStats {
     /// Edges added by the instantaneous base rules (and assumed edges).
     pub base_edges: usize,
-    /// FIFO firings that produced a new `end(A) ≺ begin(B)` edge.
+    /// FIFO firings that produced a new `end(A) ≺ begin(B)` edge. The
+    /// production engines fire only the edges that neither the relation nor
+    /// an earlier firing implies, leaving the rest to TRANS-ST, so this is
+    /// at most what [`HappensBefore::compute_reference`] counts: it fires
+    /// every pair whose guard holds.
     pub fifo_fired: usize,
-    /// NOPRE firings that produced a new `end(A) ≺ begin(B)` edge.
+    /// NOPRE firings that produced a new `end(A) ≺ begin(B)` edge, counted
+    /// like `fifo_fired`.
     pub nopre_fired: usize,
     /// Same-thread edges derived by TRANS-ST (or, in the naive unrestricted
-    /// mode, all edges derived by the plain transitive closure).
+    /// mode, all edges derived by the plain transitive closure), including
+    /// the generator edges the production engines leave to transitivity.
+    /// `fifo_fired + nopre_fired + trans_st_edges` is the same for every
+    /// engine.
     pub trans_st_edges: usize,
     /// Cross-thread edges derived by TRANS-MT (zero in the naive mode).
     pub trans_mt_edges: usize,
@@ -243,19 +254,40 @@ impl HappensBefore {
         budget: &Budget,
     ) -> Result<Self, BudgetExhausted> {
         // The matrices are the engine's dominant allocation; enforce the
-        // memory cap before allocating rather than after the OOM.
+        // memory cap before allocating rather than after the OOM. The
+        // generators' coverage rows count toward the same cap.
         let poll = Poll::new(budget);
         let n = graph.node_count() as u64;
         let matrices: u64 = if config.rules.restricted_transitivity { 2 } else { 1 };
-        if let Err(reason) = poll.check_bits(n.saturating_mul(n).saturating_mul(matrices)) {
+        let generators = if reference {
+            Generators::default()
+        } else {
+            Generators::for_graph(index, &graph, config.rules)
+        };
+        let bits = n
+            .saturating_mul(n)
+            .saturating_mul(matrices)
+            .saturating_add(generators.coverage_bits());
+        if let Err(reason) = poll.check_bits(bits) {
             return Err(BudgetExhausted {
                 reason,
                 partial: EngineStats::default(),
                 ops_processed: 0,
             });
         }
-        let mut builder = EngineState::new(trace, index, &graph, config.rules, reference, poll);
+        let mut builder = EngineState::new(
+            trace,
+            index,
+            &graph,
+            config.rules,
+            reference,
+            poll,
+            generators,
+        );
         builder.add_base_edges();
+        if reference {
+            builder.collect_task_pair_candidates();
+        }
         for &(i, j) in assumed {
             assert!(i < j, "assumed edges must point forward");
             let (a, b) = (graph.node_of(i), graph.node_of(j));
@@ -349,8 +381,9 @@ impl HappensBefore {
     }
 }
 
-/// A FIFO/NOPRE candidate: a pair of tasks executed on the same thread,
-/// `first` ending before `second` begins, not yet derived to be ordered.
+/// A FIFO/NOPRE candidate of the reference engine: a pair of tasks
+/// executed on the same thread, `first` ending before `second` begins, not
+/// yet derived to be ordered.
 #[derive(Debug, Clone, Copy)]
 struct TaskPairCandidate {
     end_node: NodeId,
@@ -368,13 +401,20 @@ struct EngineState<'a> {
     graph: &'a HbGraph,
     rules: RuleSet,
     relation: Relation,
-    candidates: Vec<TaskPairCandidate>,
-    /// Nodes of each task, used by NOPRE.
-    task_nodes: HashMap<TaskId, Vec<NodeId>>,
     stats: EngineStats,
-    /// Run the retained whole-matrix reference saturation instead of the
-    /// incremental worklist (differential-testing aid).
+    /// Run the retained whole-matrix reference saturation and pair-wise
+    /// generator rules instead of the incremental worklist and the
+    /// per-looper sweep (differential-testing aid).
     reference: bool,
+    /// FIFO/NOPRE as one sweep per looper (empty in reference mode).
+    generators: Generators,
+    /// Every same-looper task pair, examined each round (reference mode
+    /// only).
+    candidates: Vec<TaskPairCandidate>,
+    /// Candidates that fired or whose conclusion was derived otherwise.
+    candidate_done: Vec<bool>,
+    /// Nodes of each task, used by the reference engine's NOPRE.
+    task_nodes: HashMap<TaskId, Vec<NodeId>>,
     /// Direct same-thread edges — base rules, assumed edges and generator
     /// firings, before any saturation. In `Plain` mode this holds *all*
     /// direct edges (the naive closure does not split by thread).
@@ -385,30 +425,13 @@ struct EngineState<'a> {
     /// Sources `a` of direct edges added since the last saturation: a row
     /// `x` can only change if `x` reaches one of them.
     dirty_sources: Vec<NodeId>,
-    /// Rows the last saturation recomputed — generator candidates are
-    /// re-examined only if they watch one of these.
-    last_dirty: Vec<NodeId>,
+    /// Scratch list of the rows an incremental saturation recomputes.
+    dirty_rows: Vec<NodeId>,
     /// Membership mark for the dirty backward traversal.
     dirty_mark: BitSet,
     /// Scratch stack, reused for dirty propagation and as the TRANS-MT
     /// composition frontier.
     frontier: Vec<NodeId>,
-    /// Candidate indices per watched node: a FIFO candidate watches its
-    /// first post, a NOPRE candidate every node of its first task — exactly
-    /// the rows whose recomputation can flip the rule's guard.
-    watchers: Vec<Vec<u32>>,
-    /// Per-candidate examine-epoch stamp deduplicating the examine list.
-    examine_stamp: Vec<u32>,
-    /// Monotone epoch, bumped once per incremental [`Self::fire_generators`]
-    /// sweep. Deliberately *not* derived from `stats.rounds`: stats may be
-    /// rebaselined between passes of a multi-pass (streaming) session, and a
-    /// stamp reused across passes would silently skip candidates whose
-    /// guards flipped in the later pass.
-    examine_epoch: u32,
-    /// Candidates that fired or whose conclusion was derived otherwise.
-    candidate_done: Vec<bool>,
-    /// Scratch for the per-round examine list.
-    examine_buf: Vec<u32>,
     /// Cooperative budget poller, consulted at loop granularity.
     poll: Poll,
 }
@@ -421,6 +444,7 @@ impl<'a> EngineState<'a> {
         rules: RuleSet,
         reference: bool,
         poll: Poll,
+        generators: Generators,
     ) -> Self {
         let n = graph.node_count();
         let relation = if rules.restricted_transitivity {
@@ -431,33 +455,24 @@ impl<'a> EngineState<'a> {
         } else {
             Relation::Plain(BitMatrix::new(n))
         };
-        let mut task_nodes: HashMap<TaskId, Vec<NodeId>> = HashMap::new();
-        for (id, node) in graph.nodes().iter().enumerate() {
-            if let Some(task) = node.task {
-                task_nodes.entry(task).or_default().push(id);
-            }
-        }
         EngineState {
             trace,
             index,
             graph,
             rules,
             relation,
-            candidates: Vec::new(),
-            task_nodes,
             stats: EngineStats::default(),
             reference,
+            generators,
+            candidates: Vec::new(),
+            candidate_done: Vec::new(),
+            task_nodes: HashMap::new(),
             st_edges: DirectEdges::new(n),
             mt_edges: DirectEdges::new(n),
             dirty_sources: Vec::new(),
-            last_dirty: Vec::new(),
+            dirty_rows: Vec::new(),
             dirty_mark: BitSet::new(n),
             frontier: Vec::new(),
-            watchers: vec![Vec::new(); n],
-            examine_stamp: Vec::new(),
-            examine_epoch: 0,
-            candidate_done: Vec::new(),
-            examine_buf: Vec::new(),
             poll,
         }
     }
@@ -503,36 +518,11 @@ impl<'a> EngineState<'a> {
         added
     }
 
-    fn ordered(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
-        }
-        match &self.relation {
-            Relation::Restricted { st, mt } => st.get(a, b) || mt.get(a, b),
-            Relation::Plain(r) => r.get(a, b),
-        }
-    }
-
-    /// The NOPRE watcher's row scan: whether any node of `nodes` is ordered
-    /// before `j` (reflexively, matching [`EngineState::ordered`]). The
-    /// column word and bit mask are hoisted out of the loop, leaving one
-    /// word load per matrix per node.
-    fn any_ordered_to(&self, nodes: &[NodeId], j: NodeId) -> bool {
-        let (w, m) = (j / 64, 1u64 << (j % 64));
-        match &self.relation {
-            Relation::Restricted { st, mt } => nodes
-                .iter()
-                .any(|&k| k == j || (st.row_word(k, w) | mt.row_word(k, w)) & m != 0),
-            Relation::Plain(r) => nodes.iter().any(|&k| k == j || r.row_word(k, w) & m != 0),
-        }
-    }
-
     fn add_base_edges(&mut self) {
         self.add_program_order_edges();
         self.add_task_edges();
         self.add_thread_edges();
         self.add_lock_edges();
-        self.collect_task_pair_candidates();
     }
 
     /// NO-Q-PO, ASYNC-PO and the whole-thread variant.
@@ -694,10 +684,16 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Enumerates same-thread task pairs eligible for FIFO/NOPRE.
+    /// Enumerates every same-thread task pair for the reference engine's
+    /// pair-wise FIFO/NOPRE.
     fn collect_task_pair_candidates(&mut self) {
         if !self.rules.fifo && !self.rules.nopre {
             return;
+        }
+        for (id, node) in self.graph.nodes().iter().enumerate() {
+            if let Some(task) = node.task {
+                self.task_nodes.entry(task).or_default().push(id);
+            }
         }
         // Tasks per executing thread, ordered by begin index.
         let mut per_thread: HashMap<ThreadId, Vec<(usize, TaskId)>> = HashMap::new();
@@ -725,7 +721,7 @@ impl<'a> EngineState<'a> {
                     let post2 = second_info
                         .post
                         .map(|p| (self.graph.node_of(p), second_info.post_kind));
-                    self.register_candidate(TaskPairCandidate {
+                    self.candidates.push(TaskPairCandidate {
                         end_node: self.graph.node_of(end),
                         begin_node: self.graph.node_of(b2),
                         post1,
@@ -735,39 +731,7 @@ impl<'a> EngineState<'a> {
                 }
             }
         }
-    }
-
-    /// Stores a candidate and indexes it under the nodes whose row
-    /// recomputation can flip its guard. A FIFO guard `post1 ≺ post2` only
-    /// flips when row `post1` changes; a NOPRE guard `∃k ∈ nodes(taskA):
-    /// k ≺ post2` only when some row `k` changes. Candidates that can never
-    /// fire under the active rules are dropped outright.
-    fn register_candidate(&mut self, cand: TaskPairCandidate) {
-        let fifo_possible = self.rules.fifo
-            && matches!(
-                (cand.post1, cand.post2),
-                (Some((_, k1)), Some((_, k2))) if fifo_delay_ok(k1, k2, self.rules.delayed_fifo)
-            );
-        let nopre_possible = self.rules.nopre
-            && cand.post2.is_some()
-            && self.task_nodes.contains_key(&cand.first_task);
-        if !fifo_possible && !nopre_possible {
-            return;
-        }
-        let idx = u32::try_from(self.candidates.len()).expect("fewer than 2^32 candidates");
-        self.candidates.push(cand);
-        self.candidate_done.push(false);
-        self.examine_stamp.push(0);
-        if fifo_possible {
-            let (p1, _) = cand.post1.expect("fifo_possible implies post1");
-            self.watchers[p1].push(idx);
-        }
-        if nopre_possible {
-            let nodes = &self.task_nodes[&cand.first_task];
-            for &k in nodes {
-                self.watchers[k].push(idx);
-            }
-        }
+        self.candidate_done = vec![false; self.candidates.len()];
     }
 
     /// Runs generator + transitivity to fixpoint, recording per-rule
@@ -775,11 +739,12 @@ impl<'a> EngineState<'a> {
     ///
     /// Round one performs a full saturation (every row), seeding the
     /// incremental state; each later round recomputes only the rows that
-    /// can reach a freshly added generator edge, and re-examines only the
-    /// generator candidates watching one of those rows. Since edge addition
-    /// is monotone and the per-round rule order is unchanged, the fixpoint
-    /// — and even the per-round counter deltas — match the reference
-    /// whole-matrix saturation exactly.
+    /// can reach a freshly added generator edge. Every round then sweeps
+    /// each looper once. The sweep fires a subset of the edges the
+    /// pair-wise rules would fire, and the closure of that subset contains
+    /// the rest, so every round closes to the same relation as the
+    /// reference engine's; the generator edges the sweep leaves out are
+    /// counted under `trans_st_edges` instead of `fifo_fired`/`nopre_fired`.
     fn run_fixpoint(&mut self) -> Result<(), BudgetReason> {
         loop {
             self.stats.rounds += 1;
@@ -795,60 +760,35 @@ impl<'a> EngineState<'a> {
             let (st1, mt1) = self.relation_sizes();
             self.stats.trans_st_edges += st1 - st0;
             self.stats.trans_mt_edges += mt1 - mt0;
-            let examine_all = self.reference || self.stats.rounds == 1;
-            changed |= self.fire_generators(examine_all);
+            changed |= self.fire_generators()?;
             if !changed {
                 return Ok(());
             }
         }
     }
 
-    /// Applies FIFO and NOPRE. With `examine_all` (round one and reference
-    /// mode) every pending candidate is evaluated; afterwards only the
-    /// candidates watching a row the last saturation recomputed — a guard
-    /// bit can only have flipped if its source row went dirty. Returns true
-    /// if any new edge was added.
-    fn fire_generators(&mut self, examine_all: bool) -> bool {
-        if self.candidates.is_empty() {
-            return false;
-        }
-        let mut changed = false;
-        if examine_all {
+    /// Applies FIFO and NOPRE once: the per-looper sweep, or in reference
+    /// mode every pending candidate pair. Returns true if any new edge was
+    /// added.
+    fn fire_generators(&mut self) -> Result<bool, BudgetReason> {
+        if self.reference {
+            let mut changed = false;
             for c in 0..self.candidates.len() {
                 changed |= self.examine_candidate(c);
             }
-            return changed;
+            return Ok(changed);
         }
-        let mut examine = std::mem::take(&mut self.examine_buf);
-        examine.clear();
-        // Fresh stamps init to 0 and the epoch starts its first sweep at 1,
-        // so a never-examined candidate always passes the dedup check.
-        self.examine_epoch = self.examine_epoch.wrapping_add(1);
-        let stamp = self.examine_epoch;
-        for di in 0..self.last_dirty.len() {
-            let r = self.last_dirty[di];
-            for wi in 0..self.watchers[r].len() {
-                let c = self.watchers[r][wi] as usize;
-                if !self.candidate_done[c] && self.examine_stamp[c] != stamp {
-                    self.examine_stamp[c] = stamp;
-                    examine.push(c as u32);
-                }
-            }
-        }
-        // Evaluate in candidate order, matching the reference engine's
-        // full-scan order (candidates are independent within a round, but
-        // determinism is part of the stats contract).
-        examine.sort_unstable();
-        for &c in &examine {
-            changed |= self.examine_candidate(c as usize);
-        }
-        self.examine_buf = examine;
-        changed
+        let mut generators = std::mem::take(&mut self.generators);
+        let fired = generators.sweep_loopers(self);
+        self.stats.fifo_fired = generators.fifo_fired;
+        self.stats.nopre_fired = generators.nopre_fired;
+        self.generators = generators;
+        fired
     }
 
-    /// Evaluates one pending candidate, firing at most one edge. A
-    /// candidate is retired once it fired or its conclusion was derived by
-    /// other rules.
+    /// Evaluates one pending candidate of the reference engine, firing at
+    /// most one edge. A candidate is retired once it fired or its
+    /// conclusion was derived by other rules.
     fn examine_candidate(&mut self, c: usize) -> bool {
         if self.candidate_done[c] {
             return false;
@@ -894,7 +834,6 @@ impl<'a> EngineState<'a> {
         let n = self.graph.node_count();
         // Base edges enqueued their sources; a full pass covers them all.
         self.dirty_sources.clear();
-        self.last_dirty.clear();
         let mut changed = false;
         for i in (0..n).rev() {
             changed |= self.recompute_row(i);
@@ -910,7 +849,6 @@ impl<'a> EngineState<'a> {
     /// invariant (an unmarked successor is provably unchanged, a marked one
     /// has a larger id and was recomputed first).
     fn saturate_dirty(&mut self) -> Result<bool, BudgetReason> {
-        self.last_dirty.clear();
         if self.dirty_sources.is_empty() {
             return Ok(false);
         }
@@ -925,7 +863,8 @@ impl<'a> EngineState<'a> {
             }
         }
         self.dirty_sources.clear();
-        let mut dirty = std::mem::take(&mut self.last_dirty);
+        let mut dirty = std::mem::take(&mut self.dirty_rows);
+        dirty.clear();
         while let Some(x) = stack.pop() {
             self.stats.worklist_pops += 1;
             self.poll.check(self.stats.word_ops)?;
@@ -950,7 +889,7 @@ impl<'a> EngineState<'a> {
             changed |= self.recompute_row(row);
             self.poll.check(self.stats.word_ops)?;
         }
-        self.last_dirty = dirty;
+        self.dirty_rows = dirty;
         Ok(changed)
     }
 
@@ -1098,27 +1037,35 @@ impl<'a> EngineState<'a> {
     }
 }
 
-/// The §4.2 refinement of the FIFO rule for delayed posts, extended to
-/// front-of-queue posts:
-///
-/// * neither delayed → ordinary FIFO applies;
-/// * second delayed, first not → the delayed task runs no earlier;
-/// * first delayed, second not → no ordering (the delayed task may be
-///   overtaken);
-/// * both delayed → ordered iff the first timeout is no larger;
-/// * second posted to the front (extension) → no FIFO ordering, the front
-///   post may overtake anything queued.
-pub(crate) fn fifo_delay_ok(k1: PostKind, k2: PostKind, refined: bool) -> bool {
-    if !refined {
-        return true;
+impl SweepHost for EngineState<'_> {
+    fn ordered(&self, a: NodeId, b: NodeId) -> bool {
+        if a == b {
+            return true;
+        }
+        match &self.relation {
+            Relation::Restricted { st, mt } => st.get(a, b) || mt.get(a, b),
+            Relation::Plain(r) => r.get(a, b),
+        }
     }
-    if matches!(k2, PostKind::Front) {
-        return false;
+
+    /// The NOPRE row scan, with the column word and bit mask hoisted out
+    /// of the loop: one word load per matrix per node.
+    fn any_ordered_to(&self, nodes: &[NodeId], j: NodeId) -> bool {
+        let (w, m) = (j / 64, 1u64 << (j % 64));
+        match &self.relation {
+            Relation::Restricted { st, mt } => nodes
+                .iter()
+                .any(|&k| k == j || (st.row_word(k, w) | mt.row_word(k, w)) & m != 0),
+            Relation::Plain(r) => nodes.iter().any(|&k| k == j || r.row_word(k, w) & m != 0),
+        }
     }
-    match (k1.delay(), k2.delay()) {
-        (None, None) | (None, Some(_)) => true,
-        (Some(_), None) => false,
-        (Some(d1), Some(d2)) => d1 <= d2,
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        EngineState::add_edge(self, a, b)
+    }
+
+    fn poll(&mut self) -> Result<(), BudgetReason> {
+        self.poll.check(self.stats.word_ops)
     }
 }
 
@@ -1130,22 +1077,6 @@ mod tests {
     fn hb(trace: &Trace) -> HappensBefore {
         assert_eq!(validate(trace), Ok(()), "test traces must be feasible");
         HappensBefore::compute(trace, HbConfig::new())
-    }
-
-    #[test]
-    fn fifo_delay_table() {
-        use PostKind::*;
-        assert!(fifo_delay_ok(Plain, Plain, true));
-        assert!(fifo_delay_ok(Plain, Delayed(5), true));
-        assert!(!fifo_delay_ok(Delayed(5), Plain, true));
-        assert!(fifo_delay_ok(Delayed(5), Delayed(5), true));
-        assert!(fifo_delay_ok(Delayed(5), Delayed(9), true));
-        assert!(!fifo_delay_ok(Delayed(9), Delayed(5), true));
-        assert!(!fifo_delay_ok(Plain, Front, true));
-        assert!(fifo_delay_ok(Front, Plain, true));
-        // unrefined mode ignores post kinds entirely
-        assert!(fifo_delay_ok(Delayed(9), Delayed(5), false));
-        assert!(fifo_delay_ok(Plain, Front, false));
     }
 
     #[test]
@@ -1738,38 +1669,40 @@ mod tests {
         assert_eq!(replayed, accumulated);
     }
 
-    /// The generator examine-stamp dedup must not key off `stats.rounds`:
-    /// two independent closures of the same trace (the second standing in
-    /// for a later pass of a multi-pass session with rebaselined stats)
-    /// fire the same generator edges and report identical semantic
-    /// counters.
-    #[test]
-    fn repeated_closures_reuse_no_stale_stamps() {
-        let mut b = TraceBuilder::new();
-        let main = b.thread("main", ThreadKind::Main, true);
-        let binder = b.thread("binder", ThreadKind::Binder, true);
-        let t1 = b.task("A");
-        let t2 = b.task("B");
-        b.thread_init(main);
-        b.attach_q(main);
-        b.loop_on_q(main);
-        b.thread_init(binder);
-        b.post(binder, t1, main);
-        b.post(binder, t2, main);
-        b.begin(main, t1);
-        b.end(main, t1);
-        b.begin(main, t2);
-        b.end(main, t2);
-        let trace = b.finish();
-        let first = HappensBefore::compute(&trace, HbConfig::new());
-        let second = HappensBefore::compute(&trace, HbConfig::new());
-        assert_eq!(first.stats(), second.stats());
-        assert_eq!(first.stats().fifo_fired, 1);
-        assert_eq!(first.relation_matrices().0, second.relation_matrices().0);
+    /// The counter contract between `compute` and the reference: equal
+    /// matrices, base edges, TRANS-MT edges, rounds and relation size; the
+    /// generator edges the sweep leaves to TRANS-ST move from
+    /// `fifo_fired`/`nopre_fired` to `trans_st_edges`, never the other way.
+    fn assert_matches_reference(inc: &HappensBefore, rf: &HappensBefore, context: &str) {
+        assert_eq!(inc.relation_matrices(), rf.relation_matrices(), "{context}: matrices");
+        let (i, r) = (inc.stats(), rf.stats());
+        assert_eq!(
+            (i.base_edges, i.trans_mt_edges, i.rounds),
+            (r.base_edges, r.trans_mt_edges, r.rounds),
+            "{context}: base edges, TRANS-MT edges, rounds"
+        );
+        assert_eq!(inc.ordered_pairs(), rf.ordered_pairs(), "{context}: relation size");
+        assert_eq!(
+            i.fifo_fired + i.nopre_fired + i.trans_st_edges,
+            r.fifo_fired + r.nopre_fired + r.trans_st_edges,
+            "{context}: same-thread derived edges"
+        );
+        assert!(
+            i.fifo_fired + i.nopre_fired <= r.fifo_fired + r.nopre_fired,
+            "{context}: the sweep fired more generator edges than the reference"
+        );
+        for (side, hb) in [("compute", inc), ("reference", rf)] {
+            let s = hb.stats();
+            assert_eq!(
+                s.base_edges + s.derived_edges(),
+                hb.ordered_pairs(),
+                "{context}: {side} counters do not partition the relation"
+            );
+        }
     }
 
     /// The incremental engine and the retained reference saturation derive
-    /// bit-identical matrices and identical semantic counters (the
+    /// bit-identical matrices under the counter contract (the
     /// work-accounting counters legitimately differ).
     #[test]
     fn incremental_matches_reference_on_unit_traces() {
@@ -1823,28 +1756,15 @@ mod tests {
                 };
                 let inc = HappensBefore::compute(trace, config);
                 let rf = HappensBefore::compute_reference(trace, config);
-                let (inc_a, inc_b) = inc.relation_matrices();
-                let (ref_a, ref_b) = rf.relation_matrices();
-                assert_eq!(inc_a, ref_a, "{mode:?}: primary matrix differs");
-                assert_eq!(inc_b, ref_b, "{mode:?}: mt matrix differs");
-                let (i, r) = (inc.stats(), rf.stats());
-                assert_eq!(
-                    (i.base_edges, i.fifo_fired, i.nopre_fired, i.rounds),
-                    (r.base_edges, r.fifo_fired, r.nopre_fired, r.rounds),
-                    "{mode:?}: semantic counters differ"
-                );
-                assert_eq!(i.trans_st_edges, r.trans_st_edges, "{mode:?}");
-                assert_eq!(i.trans_mt_edges, r.trans_mt_edges, "{mode:?}");
+                assert_matches_reference(&inc, &rf, &format!("{mode:?}"));
+                let r = rf.stats();
                 assert_eq!((r.worklist_pops, r.rows_recomputed), (0, 0));
             }
         }
     }
 
-    /// Row bounds make saturation cheaper than whole-row scanning: the
-    /// incremental engine's `word_ops` undercut the reference's, and the
-    /// skipped words account for real all-zero prefix/suffix words.
-    #[test]
-    fn incremental_word_ops_undercut_reference() {
+    /// Forty tasks posted to main in order by one binder thread.
+    fn fifo_chain_trace() -> Trace {
         let mut b = TraceBuilder::new();
         let main = b.thread("main", ThreadKind::Main, true);
         let binder = b.thread("binder", ThreadKind::Binder, true);
@@ -1864,7 +1784,15 @@ mod tests {
             b.write(main, loc);
             b.end(main, t);
         }
-        let trace = b.finish();
+        b.finish()
+    }
+
+    /// Row bounds make saturation cheaper than whole-row scanning: the
+    /// incremental engine's `word_ops` undercut the reference's, and the
+    /// skipped words account for real all-zero prefix/suffix words.
+    #[test]
+    fn incremental_word_ops_undercut_reference() {
+        let trace = fifo_chain_trace();
         let config = HbConfig::new();
         let inc = HappensBefore::compute(&trace, config);
         let rf = HappensBefore::compute_reference(&trace, config);
@@ -1877,6 +1805,59 @@ mod tests {
         );
         assert!(inc.stats().skipped_words > 0);
         assert!(inc.stats().worklist_pops > 0, "later rounds used the worklist");
+    }
+
+    /// On a looper whose 40 tasks run in posting order, FIFO holds for all
+    /// 780 pairs, but each task's edge from its predecessor implies the
+    /// rest by TRANS-ST: the sweep fires 39 edges where the pair-wise
+    /// reference fires 780, and the closed relations are equal.
+    #[test]
+    fn sweep_fires_only_edges_nothing_implies() {
+        let trace = fifo_chain_trace();
+        let config = HbConfig::new();
+        let inc = HappensBefore::compute(&trace, config);
+        let rf = HappensBefore::compute_reference(&trace, config);
+        assert_eq!(inc.stats().fifo_fired, 39);
+        assert_eq!(rf.stats().fifo_fired, 780);
+        assert_eq!((inc.stats().nopre_fired, rf.stats().nopre_fired), (0, 0));
+        assert_matches_reference(&inc, &rf, "fifo chain");
+    }
+
+    /// A task posted to main but run on another looper (a trace the
+    /// validator rejects, which the engine still closes) breaks the
+    /// same-thread chain a coverage merge relies on: `end(x) ≺ begin(b)`
+    /// does not follow from `end(x) ≺ begin(a)` and `end(a) ≺ begin(b)`
+    /// when `a` runs elsewhere, so the sweep must fire it as the
+    /// reference does.
+    #[test]
+    fn sweep_stays_exact_when_a_task_runs_off_its_looper() {
+        let mut b = TraceBuilder::new();
+        let main = b.thread("main", ThreadKind::Main, true);
+        let other = b.thread("other", ThreadKind::App, true);
+        let binder = b.thread("binder", ThreadKind::Binder, true);
+        let (x, a, t) = (b.task("x"), b.task("a"), b.task("b"));
+        for looper in [main, other] {
+            b.thread_init(looper);
+            b.attach_q(looper);
+            b.loop_on_q(looper);
+        }
+        b.thread_init(binder);
+        for task in [x, a, t] {
+            b.post(binder, task, main);
+        }
+        b.begin(main, x);
+        let end_x = b.end(main, x);
+        b.begin(other, a);
+        b.end(other, a);
+        let begin_t = b.begin(main, t);
+        b.end(main, t);
+        let trace = b.finish();
+        assert!(validate(&trace).is_err());
+        let config = HbConfig::new();
+        let inc = HappensBefore::compute(&trace, config);
+        let rf = HappensBefore::compute_reference(&trace, config);
+        assert_matches_reference(&inc, &rf, "task off its looper");
+        assert!(inc.ordered(end_x, begin_t));
     }
 
     #[test]
@@ -2071,15 +2052,48 @@ mod budget_tests {
         assert_eq!(err.reason, BudgetReason::MatrixBits);
         assert_eq!(err.ops_processed, 0, "tripped before any work");
         assert_eq!(err.partial, EngineStats::default());
-        // A generous cap admits the same result as the unbudgeted run.
+        // The exact footprint — two matrices plus the coverage rows —
+        // admits the same result as the unbudgeted run.
         let n = HappensBefore::compute(&trace, HbConfig::new()).graph().node_count() as u64;
         let ok = compute_budgeted(
             &trace,
             HbConfig::new(),
-            &Budget::unlimited().with_max_matrix_bits(2 * n * n),
+            &Budget::unlimited().with_max_matrix_bits(2 * n * n + busy_trace_coverage_bits()),
         )
         .expect("exact cap admits the run");
         assert_eq!(ok.stats(), HappensBefore::compute(&trace, HbConfig::new()).stats());
+    }
+
+    /// The coverage rows of `busy_trace`: its 24 tasks run on main, and
+    /// rows 1..24 take one word each.
+    fn busy_trace_coverage_bits() -> u64 {
+        let trace = busy_trace();
+        let index = trace.index();
+        let graph = HbGraph::build(&trace, &index, true);
+        let bits = Generators::for_graph(&index, &graph, RuleSet::full()).coverage_bits();
+        assert_eq!(bits, 23 * 64);
+        bits
+    }
+
+    /// The generators' coverage rows count toward the matrix-bit cap: a cap
+    /// that admits the two relation matrices but not the rows refuses the
+    /// trace before any allocation or work.
+    #[test]
+    fn matrix_bit_cap_counts_coverage_rows() {
+        let trace = busy_trace();
+        let n = HappensBefore::compute(&trace, HbConfig::new())
+            .graph()
+            .node_count() as u64;
+        assert!(busy_trace_coverage_bits() > 0);
+        let err = compute_budgeted(
+            &trace,
+            HbConfig::new(),
+            &Budget::unlimited().with_max_matrix_bits(2 * n * n),
+        )
+        .expect_err("matrices plus coverage rows exceed the cap");
+        assert_eq!(err.reason, BudgetReason::MatrixBits);
+        assert_eq!(err.ops_processed, 0, "tripped before any work");
+        assert_eq!(err.partial, EngineStats::default());
     }
 
     #[test]

@@ -62,6 +62,7 @@ mod classify;
 mod coverage;
 mod engine;
 mod explain;
+mod generators;
 pub mod fasttrack;
 mod graph;
 pub mod par;

@@ -238,7 +238,7 @@ pub fn count_ones_scalar(words: &[u64]) -> usize {
 }
 
 /// Calls `f` with `(word_offset + w) * 64 + bit` for every set bit of
-/// `words`, in ascending position order — the watcher/frontier row scan.
+/// `words`, in ascending position order — the frontier row scan.
 /// Chunks that are entirely zero are skipped with one branch.
 pub fn for_each_set(words: &[u64], word_offset: usize, mut f: impl FnMut(usize)) {
     let mut base = 0usize;

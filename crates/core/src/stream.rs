@@ -25,11 +25,11 @@
 //! every existing column is final:
 //!
 //! * base rules only ever add edges into the newest node at ingest time;
-//! * FIFO/NOPRE firings target the `begin` node of a candidate, and every
-//!   candidate is decided at the boundary that registered it — its guard
-//!   reads only columns of nodes older than its `begin` node, which are
-//!   already frozen, so a candidate unfired at its own boundary can never
-//!   fire later and is dropped.
+//! * FIFO/NOPRE firings target the `begin` node of a task, and every task
+//!   is swept only in the boundary that ingested its `begin` — its guards
+//!   read only columns of nodes older than that `begin` node, which are
+//!   already frozen, so a guard unfired at its own boundary can never fire
+//!   later.
 //!
 //! Three consequences carry the design: early race emission is sound (an
 //! unordered pair of closed access blocks stays unordered), races can be
@@ -55,7 +55,8 @@ use droidracer_trace::{
 
 use crate::bitmatrix::BitMatrix;
 use crate::classify::{classify_with, RaceCategory};
-use crate::engine::{fifo_delay_ok, EngineStats, HappensBefore};
+use crate::engine::{EngineStats, HappensBefore};
+use crate::generators::{Generators, SweepHost};
 use crate::graph::{DirectEdges, GraphBuilder, HbGraph, NodeId};
 use crate::race::{find_races_with, pick_witness, BlockAccesses, Race};
 use crate::report::{CategoryCounts, ClassifiedRace};
@@ -392,19 +393,6 @@ impl Cols {
 // The incremental engine
 // ---------------------------------------------------------------------------
 
-/// A FIFO/NOPRE candidate pending in the current boundary. Mirrors the
-/// batch engine's `TaskPairCandidate`; unlike batch candidates these live
-/// for exactly one boundary — the frozen-column invariant proves a
-/// candidate unfired at its registration boundary can never fire.
-#[derive(Debug, Clone, Copy)]
-struct StreamCand {
-    end_node: NodeId,
-    begin_node: NodeId,
-    post1: Option<(NodeId, PostKind)>,
-    post2: Option<(NodeId, PostKind)>,
-    first: TaskId,
-}
-
 /// The column-oriented incremental closure engine. Operates on the
 /// cancellation-filtered ("retained") op sequence; the session wrapper owns
 /// the original stream and the cancel replays.
@@ -433,21 +421,16 @@ struct StreamEngine {
     forks_awaiting: HashMap<ThreadId, Vec<NodeId>>,
     lock_releases: HashMap<LockId, Vec<(NodeId, ThreadId, Option<TaskId>)>>,
     // Online task state.
-    task_nodes: HashMap<TaskId, Vec<NodeId>>,
     post_node: HashMap<TaskId, (NodeId, PostKind)>,
     post_target: HashMap<TaskId, ThreadId>,
     enable_node: HashMap<TaskId, NodeId>,
-    end_node: HashMap<TaskId, NodeId>,
     posted: HashSet<TaskId>,
     begun: HashSet<TaskId>,
     ended: HashSet<TaskId>,
     open_task: HashMap<ThreadId, TaskId>,
-    per_thread_begun: HashMap<ThreadId, Vec<TaskId>>,
-    // Candidates of the current boundary.
-    pending: Vec<StreamCand>,
-    cand_done: Vec<bool>,
-    cand_seen: Vec<bool>,
-    watch: HashMap<NodeId, Vec<usize>>,
+    /// FIFO/NOPRE: the loopers' tasks, with the tasks begun in the current
+    /// boundary queued for its sweeps.
+    generators: Generators,
     // Emission state.
     per_loc: HashMap<MemLoc, Vec<(NodeId, BlockAccesses)>>,
     slot: HashMap<(MemLoc, NodeId), usize>,
@@ -464,8 +447,6 @@ struct StreamEngine {
     work_base: u64,
     peak_bits: u64,
     retired_rows: u64,
-    fifo_fired: u64,
-    nopre_fired: u64,
     scratch: Vec<u64>,
     frontier: Vec<NodeId>,
 }
@@ -492,20 +473,14 @@ impl StreamEngine {
             first_exit: HashMap::new(),
             forks_awaiting: HashMap::new(),
             lock_releases: HashMap::new(),
-            task_nodes: HashMap::new(),
             post_node: HashMap::new(),
             post_target: HashMap::new(),
             enable_node: HashMap::new(),
-            end_node: HashMap::new(),
             posted: HashSet::new(),
             begun: HashSet::new(),
             ended: HashSet::new(),
             open_task: HashMap::new(),
-            per_thread_begun: HashMap::new(),
-            pending: Vec::new(),
-            cand_done: Vec::new(),
-            cand_seen: Vec::new(),
-            watch: HashMap::new(),
+            generators: Generators::new(config.rules),
             per_loc: HashMap::new(),
             slot: HashMap::new(),
             node_locs: HashMap::new(),
@@ -520,8 +495,6 @@ impl StreamEngine {
             work_base,
             peak_bits: 0,
             retired_rows: 0,
-            fifo_fired: 0,
-            nopre_fired: 0,
             scratch: Vec::new(),
             frontier: Vec::new(),
         }
@@ -697,7 +670,9 @@ impl StreamEngine {
         if push.new_node {
             self.on_new_node(push.node, op.thread);
             if let Some(t) = task {
-                self.task_nodes.entry(t).or_default().push(push.node);
+                // A `begin` node is recorded when its rule registers the
+                // task; every later node of the task lands here.
+                self.generators.push_node(t, push.node);
             }
         }
         if let Some(c) = push.closed {
@@ -712,7 +687,7 @@ impl StreamEngine {
         if push.new_node {
             self.program_order(push.node, op.thread, task);
         }
-        self.apply_op_rules(op, push.node, task);
+        self.apply_op_rules(i, op, push.node, task);
     }
 
     /// NO-Q-PO / ASYNC-PO for a freshly created node, matching the batch
@@ -744,7 +719,7 @@ impl StreamEngine {
         }
     }
 
-    fn apply_op_rules(&mut self, op: Op, n: NodeId, task: Option<TaskId>) {
+    fn apply_op_rules(&mut self, i: usize, op: Op, n: NodeId, task: Option<TaskId>) {
         let rules = self.config.rules;
         match op.kind {
             OpKind::ThreadInit => {
@@ -805,33 +780,17 @@ impl StreamEngine {
             OpKind::Begin { task: t } => {
                 self.begun.insert(t);
                 self.open_task.insert(op.thread, t);
+                let post = self.post_node.get(&t).copied();
                 if rules.post {
-                    if let Some(&(p, _)) = self.post_node.get(&t) {
+                    if let Some((p, _)) = post {
                         self.add_edge(p, n);
                     }
                 }
-                if rules.fifo || rules.nopre {
-                    let group = self
-                        .per_thread_begun
-                        .entry(op.thread)
-                        .or_default()
-                        .clone();
-                    for first in group {
-                        if !self.ended.contains(&first) {
-                            // Overlapping tasks on one thread: invalid, and
-                            // the batch candidate enumeration asserts
-                            // against it.
-                            self.degenerate = true;
-                            return;
-                        }
-                        self.register_candidate(first, t, n);
-                    }
-                }
-                self.per_thread_begun.entry(op.thread).or_default().push(t);
+                self.generators.begin(op.thread, t, i, n, post);
             }
             OpKind::End { task: t } => {
                 self.ended.insert(t);
-                self.end_node.insert(t, n);
+                self.generators.end(t, i, n);
                 self.open_task.remove(&op.thread);
             }
             OpKind::Acquire { lock } => {
@@ -866,91 +825,12 @@ impl StreamEngine {
         }
     }
 
-    /// Registers the FIFO/NOPRE candidate for the ordered task pair
-    /// `(first, second)`, indexing it under the columns whose recomputation
-    /// can change its evaluation within this boundary.
-    fn register_candidate(&mut self, first: TaskId, _second: TaskId, begin_n: NodeId) {
-        let rules = self.config.rules;
-        let Some(&end_node) = self.end_node.get(&first) else {
-            return;
-        };
-        let post1 = self.post_node.get(&first).copied();
-        let post2 = self.post_node.get(&_second).copied();
-        let fifo_possible = rules.fifo
-            && matches!(
-                (post1, post2),
-                (Some((_, k1)), Some((_, k2))) if fifo_delay_ok(k1, k2, rules.delayed_fifo)
-            );
-        let nopre_possible =
-            rules.nopre && post2.is_some() && self.task_nodes.contains_key(&first);
-        if !fifo_possible && !nopre_possible {
-            return;
-        }
-        let idx = self.pending.len();
-        self.pending.push(StreamCand {
-            end_node,
-            begin_node: begin_n,
-            post1,
-            post2,
-            first,
-        });
-        self.cand_done.push(false);
-        self.cand_seen.push(false);
-        self.watch.entry(begin_n).or_default().push(idx);
-        if let Some((p2, _)) = post2 {
-            self.watch.entry(p2).or_default().push(idx);
-        }
-    }
-
-    /// Evaluates one candidate, firing at most one `end ≺ begin` edge —
-    /// the batch `examine_candidate` over columns.
-    fn examine(&mut self, c: usize) -> bool {
-        if self.cand_done[c] {
-            return false;
-        }
-        let cand = self.pending[c];
-        if self.ordered_nodes(cand.end_node, cand.begin_node) {
-            self.cand_done[c] = true;
-            return false;
-        }
-        let rules = self.config.rules;
-        let mut fifo_fire = false;
-        if rules.fifo {
-            if let (Some((p1, k1)), Some((p2, k2))) = (cand.post1, cand.post2) {
-                if fifo_delay_ok(k1, k2, rules.delayed_fifo)
-                    && (p1 == p2 || self.ordered_nodes(p1, p2))
-                {
-                    fifo_fire = true;
-                }
-            }
-        }
-        let mut nopre_fire = false;
-        if !fifo_fire && rules.nopre {
-            if let Some((p2, _)) = cand.post2 {
-                if let Some(nodes) = self.task_nodes.get(&cand.first) {
-                    nopre_fire = nodes.iter().any(|&k| k == p2 || self.ordered_nodes(k, p2));
-                }
-            }
-        }
-        if (fifo_fire || nopre_fire) && self.add_edge(cand.end_node, cand.begin_node) {
-            self.cand_done[c] = true;
-            if fifo_fire {
-                self.fifo_fired += 1;
-            } else {
-                self.nopre_fired += 1;
-            }
-            return true;
-        }
-        false
-    }
-
     /// Forward dirty propagation: every column reachable from a freshly
     /// targeted node may change; recompute them in increasing id order so
-    /// each recomputation sees complete predecessor columns. Returns the
-    /// recomputed ids.
-    fn flush(&mut self) -> Result<Vec<NodeId>, BudgetReason> {
+    /// each recomputation sees complete predecessor columns.
+    fn flush(&mut self) -> Result<(), BudgetReason> {
         if self.dirty_targets.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let seeds = std::mem::take(&mut self.dirty_targets);
         let mut mark: HashSet<NodeId> = HashSet::new();
@@ -974,10 +854,10 @@ impl StreamEngine {
         }
         let mut dirty: Vec<NodeId> = mark.into_iter().collect();
         dirty.sort_unstable();
-        for &j in &dirty {
+        for j in dirty {
             self.recompute_col(j)?;
         }
-        Ok(dirty)
+        Ok(())
     }
 
     /// Recomputes column `j` from its direct predecessors — the transpose
@@ -1086,10 +966,7 @@ impl StreamEngine {
     /// newly-closed access blocks, then retire old columns.
     fn boundary(&mut self) -> Result<Vec<(Race, RaceCategory)>, BudgetExhausted> {
         if self.degenerate {
-            self.pending.clear();
-            self.cand_done.clear();
-            self.cand_seen.clear();
-            self.watch.clear();
+            self.generators.drop_queue();
             self.dirty_targets.clear();
             self.newly_closed.clear();
             return Ok(Vec::new());
@@ -1102,60 +979,38 @@ impl StreamEngine {
             return self.boundary();
         }
         let races = self.collect_emissions();
-        let bits = self.st.footprint_bits() + self.mt.footprint_bits();
-        self.peak_bits = self.peak_bits.max(bits);
+        self.peak_bits = self.peak_bits.max(self.footprint_bits());
         if self.summarize {
             self.retire_old();
         }
-        let bits_now = self.st.footprint_bits() + self.mt.footprint_bits();
-        if let Err(reason) = self.poll.check_bits(bits_now) {
+        if let Err(reason) = self.poll.check_bits(self.footprint_bits()) {
             return Err(self.exhausted(reason));
         }
         Ok(races)
     }
 
+    /// The boundary fixpoint: flush the dirty columns, sweep the tasks
+    /// begun this boundary, repeat until a sweep fires nothing. Then the
+    /// queue is dropped (see [`Generators::drop_queue`]).
     fn fixpoint(&mut self) -> Result<(), BudgetReason> {
         loop {
-            let recomputed = self.flush()?;
-            let mut examine: Vec<usize> = Vec::new();
-            for c in 0..self.pending.len() {
-                if !self.cand_seen[c] && !self.cand_done[c] {
-                    examine.push(c);
-                }
-            }
-            for &r in &recomputed {
-                if let Some(list) = self.watch.get(&r) {
-                    for &c in list {
-                        if !self.cand_done[c] {
-                            examine.push(c);
-                        }
-                    }
-                }
-            }
-            examine.sort_unstable();
-            examine.dedup();
-            if examine.is_empty() {
-                break;
-            }
-            let mut fired = false;
-            for c in examine {
-                self.cand_seen[c] = true;
-                fired |= self.examine(c);
-                if self.degenerate {
-                    return Ok(());
-                }
-            }
-            if !fired {
+            self.flush()?;
+            let mut generators = std::mem::take(&mut self.generators);
+            let fired = generators.sweep_queued(self);
+            self.generators = generators;
+            // A firing can trip the backward-edge shield.
+            if !fired? || self.degenerate {
                 break;
             }
         }
-        // Unfired candidates can never fire (their guards read frozen
-        // columns); drop them with the boundary.
-        self.pending.clear();
-        self.cand_done.clear();
-        self.cand_seen.clear();
-        self.watch.clear();
+        self.generators.drop_queue();
         Ok(())
+    }
+
+    /// Footprint of the relation state in bits: the live and retired
+    /// columns plus the generators' coverage rows.
+    fn footprint_bits(&self) -> u64 {
+        self.st.footprint_bits() + self.mt.footprint_bits() + self.generators.coverage_bits()
     }
 
     /// Emits races for every access block closed this boundary, against all
@@ -1245,8 +1100,8 @@ impl StreamEngine {
             reason,
             partial: EngineStats {
                 word_ops: self.word_ops,
-                fifo_fired: self.fifo_fired as usize,
-                nopre_fired: self.nopre_fired as usize,
+                fifo_fired: self.generators.fifo_fired,
+                nopre_fired: self.generators.nopre_fired,
                 ..EngineStats::default()
             },
             ops_processed: self.work_base + self.word_ops,
@@ -1305,6 +1160,20 @@ impl StreamEngine {
             });
         }
         (st, Some(mt))
+    }
+}
+
+impl SweepHost for StreamEngine {
+    fn ordered(&self, a: NodeId, b: NodeId) -> bool {
+        a == b || self.ordered_nodes(a, b)
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        StreamEngine::add_edge(self, a, b)
+    }
+
+    fn poll(&mut self) -> Result<(), BudgetReason> {
+        self.poll.check(self.work_base + self.word_ops)
     }
 }
 
@@ -1522,7 +1391,7 @@ impl StreamingAnalysis {
             retired_rows: self.base_retired + self.engine.retired_rows,
             word_ops: self.base_word_ops + self.engine.word_ops,
             peak_matrix_bits: self.base_peak.max(self.engine.peak_bits),
-            live_matrix_bits: self.engine.st.footprint_bits() + self.engine.mt.footprint_bits(),
+            live_matrix_bits: self.engine.footprint_bits(),
             degenerate: self.engine.degenerate,
         }
     }

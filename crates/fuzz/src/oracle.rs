@@ -6,10 +6,12 @@
 //! 1. **Closure differential** — the incremental worklist engine
 //!    ([`HappensBefore::compute`]) against the retained naive saturation
 //!    ([`HappensBefore::compute_reference`]). The closed `st`/`mt` matrices
-//!    must be bit-identical and the semantic counters (base edges,
-//!    FIFO/NOPRE firings, TRANS-ST/TRANS-MT deltas, rounds, relation size)
-//!    must match exactly; only the perf counters (`word_ops`,
-//!    `worklist_pops`, …) may differ.
+//!    must be bit-identical, and base edges, TRANS-MT edges, rounds and the
+//!    relation size must match exactly. The incremental engine fires only
+//!    the FIFO/NOPRE edges nothing else implies, so FIFO + NOPRE + TRANS-ST
+//!    must match as a sum, its firings may not exceed the reference's, and
+//!    each side's counters must partition its relation. The perf counters
+//!    (`word_ops`, `worklist_pops`, …) may differ.
 //! 2. **Detector differential** — `vc::detect_multithreaded` (DJIT⁺) vs
 //!    `fasttrack::detect`: two independent implementations of the
 //!    multi-threaded restriction must flag the same racy locations.
@@ -287,19 +289,47 @@ fn closure_differential(inc: &HappensBefore, refc: &HappensBefore) -> Vec<Diverg
         });
     }
     let (i, r) = (inc.stats(), refc.stats());
+    // The sweep leaves implied generator edges to TRANS-ST, so FIFO, NOPRE
+    // and TRANS-ST compare as a sum; the firings alone may only fall short.
     let counters = [
         ("base_edges", i.base_edges, r.base_edges),
-        ("fifo_fired", i.fifo_fired, r.fifo_fired),
-        ("nopre_fired", i.nopre_fired, r.nopre_fired),
-        ("trans_st_edges", i.trans_st_edges, r.trans_st_edges),
         ("trans_mt_edges", i.trans_mt_edges, r.trans_mt_edges),
+        ("rounds", i.rounds, r.rounds),
         ("ordered_pairs", inc.ordered_pairs(), refc.ordered_pairs()),
+        (
+            "fifo_fired + nopre_fired + trans_st_edges",
+            i.fifo_fired + i.nopre_fired + i.trans_st_edges,
+            r.fifo_fired + r.nopre_fired + r.trans_st_edges,
+        ),
     ];
     for (name, a, b) in counters {
         if a != b {
             out.push(Divergence {
                 kind: DivergenceKind::ClosureStats,
                 detail: format!("{name}: incremental {a} != reference {b}"),
+            });
+        }
+    }
+    let (fired, ref_fired) = (i.fifo_fired + i.nopre_fired, r.fifo_fired + r.nopre_fired);
+    if fired > ref_fired {
+        out.push(Divergence {
+            kind: DivergenceKind::ClosureStats,
+            detail: format!(
+                "fifo_fired + nopre_fired: incremental {fired} > reference {ref_fired}"
+            ),
+        });
+    }
+    for (side, hb) in [("incremental", inc), ("reference", refc)] {
+        let s = hb.stats();
+        if s.base_edges + s.derived_edges() != hb.ordered_pairs() {
+            out.push(Divergence {
+                kind: DivergenceKind::ClosureStats,
+                detail: format!(
+                    "{side}: base {} + derived {} != ordered pairs {}",
+                    s.base_edges,
+                    s.derived_edges(),
+                    hb.ordered_pairs()
+                ),
             });
         }
     }

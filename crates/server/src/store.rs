@@ -92,7 +92,7 @@ impl fmt::Display for StoreDiagnostic {
 /// Header line of the log; replay of a file with any other first line
 /// starts the log over (the cache is a pure memo, so dropping it only
 /// costs recomputation, never correctness).
-const WAL_HEADER: &str = "droidracer-wal v1\n";
+const WAL_HEADER: &str = "droidracer-wal v2\n";
 
 /// Fixed byte length of one WAL record's prefix:
 /// `R <key:016x> <len:08x> <sum:016x> ` — marker, three hex fields, four
@@ -100,24 +100,38 @@ const WAL_HEADER: &str = "droidracer-wal v1\n";
 /// then one `\n`.
 pub(crate) const WAL_PREFIX: usize = 2 + 16 + 1 + 8 + 1 + 16 + 1;
 
-/// Encodes one WAL record: fixed-width prefix (key, body length, FNV-1a
-/// checksum of the body) + body + newline. The explicit length lets replay
-/// step over a record without scanning its body; the checksum catches bit
-/// rot and torn writes inside the body.
-fn wal_encode(key: u64, body: &[u8]) -> Vec<u8> {
+/// Length of the part of the prefix the checksum covers: marker, key and
+/// length fields with their separators, `R <key:016x> <len:08x> `.
+const WAL_SUMMED_PREFIX: usize = 2 + 16 + 1 + 8 + 1;
+
+/// The FNV-1a checksum of one record: over the marker, the key and length
+/// fields, and the body. A damaged key thus fails the check rather than
+/// replaying the record under another digest.
+fn wal_checksum(summed_prefix: &[u8], body: &[u8]) -> u64 {
     let mut sum = Fnv64::new();
+    sum.update(summed_prefix);
     sum.update(body);
+    sum.finish()
+}
+
+/// Encodes one WAL record: fixed-width prefix (key, body length, FNV-1a
+/// checksum of key, length and body) + body + newline. The explicit length
+/// lets replay step over a record without scanning its body; the checksum
+/// catches bit rot and torn writes anywhere in the record but its own
+/// field and terminator, which the framing checks.
+fn wal_encode(key: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(WAL_PREFIX + body.len() + 1);
-    out.extend_from_slice(
-        format!("R {key:016x} {:08x} {:016x} ", body.len(), sum.finish()).as_bytes(),
-    );
+    out.extend_from_slice(format!("R {key:016x} {:08x} ", body.len()).as_bytes());
+    let sum = wal_checksum(&out, body);
+    out.extend_from_slice(format!("{sum:016x} ").as_bytes());
     out.extend_from_slice(body);
     out.push(b'\n');
     out
 }
 
 /// One record of a log image that replay accepts: a well-formed prefix,
-/// the declared body length, the terminator and a matching checksum.
+/// the declared body length, the terminator and a checksum that matches
+/// the key, length and body.
 struct WalRecord {
     /// Offset of the record's `R` marker.
     start: usize,
@@ -155,9 +169,8 @@ fn wal_record_at(bytes: &[u8], pos: usize) -> Option<WalRecord> {
     if bytes.get(body.end) != Some(&b'\n') {
         return None;
     }
-    let mut check = Fnv64::new();
-    check.update(&bytes[body.clone()]);
-    (check.finish() == sum).then_some(WalRecord {
+    let check = wal_checksum(&prefix[..WAL_SUMMED_PREFIX], &bytes[body.clone()]);
+    (check == sum).then_some(WalRecord {
         start: pos,
         key,
         body,
@@ -474,7 +487,7 @@ mod tests {
             // Dropping here models a crash after the acks.
         }
         // A temp file left by a compaction that a crash interrupted.
-        std::fs::write(dir.join("cache.txt.tmp"), b"droidracer-wal v1\nR 00").unwrap();
+        std::fs::write(dir.join("cache.txt.tmp"), b"droidracer-wal v2\nR 00").unwrap();
         let (store, diags) = WalStore::open(&path).unwrap();
         let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -566,6 +579,62 @@ mod tests {
             assert_eq!(stats.compactions, 1, "byte {offset}: compacted");
             assert_eq!(wal_record_ranges(&std::fs::read(&path).unwrap()).len(), 2);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A key digit turned into another lowercase hex digit still frames as
+    /// a record; the checksum over the key catches it, so the record is
+    /// skipped as damage instead of replaying under another digest.
+    #[test]
+    fn damaged_key_digit_fails_the_checksum() {
+        let dir = temp_dir("key-digit");
+        let path = dir.join("cache.txt");
+        {
+            let (mut store, _) = WalStore::open(&path).unwrap();
+            store.insert(1, sample_report("one")).unwrap();
+            store.insert(2, sample_report("two")).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = wal_record_ranges(&bytes)[0].start - WAL_PREFIX;
+        // The last key digit: `1` becomes `0`, key 1 would read as key 0.
+        let digit = first + 2 + 15;
+        assert_eq!(bytes[digit], b'1');
+        bytes[digit] = b'0';
+        std::fs::write(&path, &bytes).unwrap();
+        let (store, diags) = WalStore::open(&path).unwrap();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("damaged WAL bytes"), "{diags:?}");
+        assert_eq!(store.stats().skipped, 1);
+        assert_eq!(store.get(0), None, "no replay under another digest");
+        assert_eq!(store.get(1), None);
+        assert_eq!(store.get(2), Some(&sample_report("two")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log written with the body-only checksum of `droidracer-wal v1`
+    /// restarts as a foreign file.
+    #[test]
+    fn v1_log_restarts_as_a_foreign_file() {
+        let dir = temp_dir("v1");
+        let path = dir.join("cache.txt");
+        let body = sample_report("v1").to_record();
+        let mut sum = Fnv64::new();
+        sum.update(body.as_bytes());
+        let v1 = format!(
+            "droidracer-wal v1\nR {:016x} {:08x} {:016x} {body}\n",
+            7,
+            body.len(),
+            sum.finish()
+        );
+        std::fs::write(&path, v1).unwrap();
+        let (store, diags) = WalStore::open(&path).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            diags[0].message.contains("unrecognized WAL header"),
+            "{diags:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), WAL_HEADER.as_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }
 
