@@ -61,7 +61,7 @@ use crate::report::{representatives_of, Analysis, CategoryCounts};
 use crate::rules::HbMode;
 use crate::robust::Budget;
 use crate::session::{AnalysisBuilder, AnalysisError};
-use crate::stream::{StreamOptions, StreamOutcome};
+use crate::stream::StreamOutcome;
 
 /// How to analyze one submitted trace. Every field has a wire- and
 /// cache-stable encoding (see [`JobSpec::to_token`]); the default spec is
@@ -652,8 +652,7 @@ pub trait AnalysisService {
 }
 
 /// The in-process [`AnalysisService`]: parses per the spec and runs the
-/// session through [`AnalysisBuilder`] (or the streaming engine — see
-/// [`LocalService::submit_streaming`]). Infallible at the transport level.
+/// session through [`AnalysisBuilder`]. Infallible at the transport level.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalService;
 
@@ -700,50 +699,6 @@ impl LocalService {
             }
         }
     }
-
-    /// Like [`AnalysisService::submit`], but drives the *streaming* engine
-    /// in `chunk_ops`-sized chunks — the path a mid-session upload takes
-    /// through the server. Races, classification and exit class are
-    /// identical to the batch submission of the same text (the streamed ≡
-    /// batch contract); only `stats.word_ops`/`stats.rounds` reflect the
-    /// different engine.
-    pub fn submit_streaming(&mut self, spec: &JobSpec, trace_text: &str, chunk_ops: usize) -> JobReport {
-        let (trace, diagnostics) = match self.parse(spec, trace_text) {
-            Ok(parsed) => parsed,
-            Err(report) => return report,
-        };
-        if spec.validate {
-            if let Err(e) = droidracer_trace::validate(&trace) {
-                let mut report = JobReport::aborted(ExitClass::Invalid, e.to_string());
-                report.diagnostics.splice(0..0, diagnostics);
-                return report;
-            }
-        }
-        let builder = spec.builder();
-        let mut session = builder.streaming(StreamOptions::default());
-        let chunk = chunk_ops.max(1);
-        for piece in trace.ops().chunks(chunk) {
-            if let Err(e) = session.push_chunk(piece) {
-                return budget_stream_report(e, &trace, diagnostics);
-            }
-        }
-        match session.finish(trace.names()) {
-            Ok(report) => JobReport::from_stream(&report.outcome, trace.names(), diagnostics),
-            Err(e) => budget_stream_report(e, &trace, diagnostics),
-        }
-    }
-}
-
-/// Wraps a streaming-session budget failure into its report.
-fn budget_stream_report(e: AnalysisError, trace: &Trace, diagnostics: Vec<String>) -> JobReport {
-    let mut report = JobReport::aborted(ExitClass::Resource, e.to_string());
-    report.stats.ops = trace.len() as u64;
-    report.stats.streamed = true;
-    if let AnalysisError::BudgetExhausted(b) = e {
-        report.stats.word_ops = b.ops_processed;
-    }
-    report.diagnostics.splice(0..0, diagnostics);
-    report
 }
 
 impl AnalysisService for LocalService {
@@ -815,20 +770,6 @@ mod tests {
         assert_eq!(report.counts.multithreaded, 1);
         assert_eq!(report.stats.word_ops, analysis.hb().stats().word_ops);
         assert_eq!(report.races[0].loc, "obj.C.state");
-    }
-
-    #[test]
-    fn streamed_submission_matches_batch_races() {
-        let text = racy_text();
-        let spec = JobSpec::default();
-        let batch = LocalService::new().submit(&spec, &text).expect("infallible");
-        for chunk in [1, 3, 64] {
-            let streamed = LocalService::new().submit_streaming(&spec, &text, chunk);
-            assert_eq!(streamed.races, batch.races, "chunk={chunk}");
-            assert_eq!(streamed.counts, batch.counts, "chunk={chunk}");
-            assert_eq!(streamed.exit, batch.exit, "chunk={chunk}");
-            assert!(streamed.stats.streamed);
-        }
     }
 
     #[test]

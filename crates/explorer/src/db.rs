@@ -5,17 +5,11 @@
 //! test, the event sequence, the scheduler seed and the decision vector; a
 //! stored entry replays to a bit-identical trace via the scripted scheduler.
 
-use std::fmt;
-use std::path::Path;
-
 use droidracer_core::{ItemError, QuarantineCause, Quarantined};
-use droidracer_framework::{compile, App, UiEvent, UiEventKind, WidgetId};
+use droidracer_framework::{compile, App, UiEvent};
 use droidracer_sim::{run, ScriptedScheduler, SimConfig, SimResult};
 
 use crate::explore::{enumerate_sequences, run_sequence, ExploreError, ExplorerConfig};
-
-/// Header line of the persisted replay-database text format.
-const DB_HEADER: &str = "droidracer-replaydb v1";
 
 /// One recorded test execution.
 #[derive(Debug, Clone)]
@@ -80,95 +74,6 @@ impl ReplayDb {
         self.entries.is_empty()
     }
 
-    /// Serializes the database to its line-oriented text format
-    /// (`droidracer-replaydb v1`).
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(DB_HEADER);
-        out.push('\n');
-        for e in &self.entries {
-            out.push_str(&format!(
-                "entry {} seed={} completed={} trace_len={} events={} decisions={}\n",
-                e.id,
-                e.seed,
-                u8::from(e.completed),
-                e.trace_len,
-                encode_list(e.events.iter().map(encode_event)),
-                encode_list(e.decisions.iter().map(usize::to_string)),
-            ));
-        }
-        out
-    }
-
-    /// Parses a persisted database. Corrupt lines — a bad header, malformed
-    /// fields, unknown event encodings — are *skipped* with a
-    /// [`DbDiagnostic`]; the surviving entries are renumbered densely, so
-    /// the returned database is always internally consistent and the lost
-    /// entries can be regenerated (see [`run_campaign_cached`]). This never
-    /// panics, whatever the input.
-    pub fn from_text(text: &str) -> (Self, Vec<DbDiagnostic>) {
-        let mut db = ReplayDb::new();
-        let mut diags = Vec::new();
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == DB_HEADER => {}
-            other => {
-                diags.push(DbDiagnostic {
-                    line: 1,
-                    message: format!(
-                        "missing header `{DB_HEADER}`, got {:?}; ignoring the whole file",
-                        other.map(|(_, l)| l).unwrap_or_default()
-                    ),
-                });
-                return (db, diags);
-            }
-        }
-        for (idx, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_entry_line(line) {
-                Ok((events, seed, decisions, completed, trace_len)) => {
-                    let id = db.entries.len();
-                    db.entries.push(TestEntry {
-                        id,
-                        events,
-                        seed,
-                        decisions,
-                        completed,
-                        trace_len,
-                    });
-                }
-                Err(message) => diags.push(DbDiagnostic {
-                    line: idx + 1,
-                    message,
-                }),
-            }
-        }
-        (db, diags)
-    }
-
-    /// Writes the database to `path` in the text format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
-    }
-
-    /// Loads a database from `path`, skipping corrupt entries with
-    /// diagnostics (see [`ReplayDb::from_text`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error (a corrupt *readable* file is
-    /// not an error — it yields diagnostics).
-    pub fn load(path: &Path) -> std::io::Result<(Self, Vec<DbDiagnostic>)> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(Self::from_text(&text))
-    }
-
     /// Replays entry `id` against `app`, reproducing the recorded schedule.
     ///
     /// # Errors
@@ -189,127 +94,6 @@ impl ReplayDb {
         .map_err(ExploreError::from);
         Some(result)
     }
-}
-
-/// A diagnostic produced while loading a persisted replay database: one
-/// corrupt line that was skipped (and whose entry will be regenerated).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DbDiagnostic {
-    /// 1-based line number in the persisted file.
-    pub line: usize,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for DbDiagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "replay-db line {}: {}", self.line, self.message)
-    }
-}
-
-/// Renders a comma-separated list, with `-` standing for the empty list
-/// (so every field is a single non-empty token).
-fn encode_list(items: impl Iterator<Item = String>) -> String {
-    let joined = items.collect::<Vec<_>>().join(",");
-    if joined.is_empty() {
-        "-".to_owned()
-    } else {
-        joined
-    }
-}
-
-fn encode_event(e: &UiEvent) -> String {
-    match e {
-        UiEvent::Widget(w, kind) => format!("w{}:{}", w.index(), kind.label()),
-        UiEvent::Back => "back".to_owned(),
-        UiEvent::Rotate => "rotate".to_owned(),
-    }
-}
-
-fn decode_event(tok: &str) -> Result<UiEvent, String> {
-    match tok {
-        "back" => return Ok(UiEvent::Back),
-        "rotate" => return Ok(UiEvent::Rotate),
-        _ => {}
-    }
-    let rest = tok
-        .strip_prefix('w')
-        .ok_or_else(|| format!("unknown event `{tok}`"))?;
-    let (idx, label) = rest
-        .split_once(':')
-        .ok_or_else(|| format!("malformed widget event `{tok}`"))?;
-    let idx: usize = idx.parse().map_err(|_| format!("bad widget index in `{tok}`"))?;
-    let kind = UiEventKind::all()
-        .into_iter()
-        .find(|k| k.label() == label)
-        .ok_or_else(|| format!("unknown event kind `{label}` in `{tok}`"))?;
-    Ok(UiEvent::Widget(WidgetId::from_index(idx), kind))
-}
-
-type ParsedEntry = (Vec<UiEvent>, u64, Vec<usize>, bool, usize);
-
-/// Parses one `entry …` line; the error is a human-readable reason.
-fn parse_entry_line(line: &str) -> Result<ParsedEntry, String> {
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some("entry") {
-        return Err(format!("expected `entry`, got `{line}`"));
-    }
-    // The stored id is cosmetic — entries are renumbered densely on load so
-    // the database stays consistent after corrupt lines are dropped.
-    let _id: usize = toks
-        .next()
-        .ok_or("truncated entry line")?
-        .parse()
-        .map_err(|_| "bad entry id".to_owned())?;
-    let mut seed = None;
-    let mut completed = None;
-    let mut trace_len = None;
-    let mut events = None;
-    let mut decisions = None;
-    for tok in toks {
-        let (key, value) = tok.split_once('=').ok_or_else(|| format!("bad field `{tok}`"))?;
-        match key {
-            "seed" => seed = Some(value.parse::<u64>().map_err(|_| format!("bad seed `{value}`"))?),
-            "completed" => {
-                completed = Some(match value {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(format!("bad completed flag `{value}`")),
-                })
-            }
-            "trace_len" => {
-                trace_len =
-                    Some(value.parse::<usize>().map_err(|_| format!("bad trace_len `{value}`"))?)
-            }
-            "events" => {
-                let mut parsed = Vec::new();
-                if value != "-" {
-                    for tok in value.split(',') {
-                        parsed.push(decode_event(tok)?);
-                    }
-                }
-                events = Some(parsed);
-            }
-            "decisions" => {
-                let mut parsed = Vec::new();
-                if value != "-" {
-                    for tok in value.split(',') {
-                        parsed
-                            .push(tok.parse::<usize>().map_err(|_| format!("bad decision `{tok}`"))?);
-                    }
-                }
-                decisions = Some(parsed);
-            }
-            _ => return Err(format!("unknown field `{key}`")),
-        }
-    }
-    Ok((
-        events.ok_or("missing events field")?,
-        seed.ok_or("missing seed field")?,
-        decisions.ok_or("missing decisions field")?,
-        completed.ok_or("missing completed field")?,
-        trace_len.ok_or("missing trace_len field")?,
-    ))
 }
 
 /// A finished testing campaign: every enumerated sequence executed once.
@@ -430,107 +214,6 @@ pub fn run_campaign_isolated(
     (Campaign { db, runs }, quarantined)
 }
 
-/// Runs a campaign backed by a persisted [`ReplayDb`] cache at `path`.
-///
-/// Cached entries whose event sequence matches an enumerated sequence are
-/// *replayed* through the scripted scheduler; an entry that is corrupt in
-/// the file, fails to replay, or no longer reproduces its recorded
-/// `completed`/`trace_len` metadata is dropped with a [`DbDiagnostic`] and
-/// the sequence is regenerated from scratch. The refreshed database is
-/// saved back to `path`, so a corrupted cache heals itself. The resulting
-/// [`Campaign`] is identical to [`run_campaign`]'s for every cache state.
-///
-/// # Errors
-///
-/// Returns the first compile/simulation failure while *regenerating* (the
-/// same failures [`run_campaign`] reports); cache corruption and cache I/O
-/// problems are diagnostics, never errors.
-pub fn run_campaign_cached(
-    app: &App,
-    config: &ExplorerConfig,
-    path: &Path,
-) -> Result<(Campaign, Vec<DbDiagnostic>), ExploreError> {
-    let mut diags = Vec::new();
-    let cached = match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let (db, mut parse_diags) = ReplayDb::from_text(&text);
-            diags.append(&mut parse_diags);
-            db
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ReplayDb::new(),
-        Err(e) => {
-            diags.push(DbDiagnostic {
-                line: 0,
-                message: format!("cannot read cache {}: {e}; regenerating", path.display()),
-            });
-            ReplayDb::new()
-        }
-    };
-    let sequences = enumerate_sequences(app, config);
-    let mut used = vec![false; cached.len()];
-    let mut db = ReplayDb::new();
-    let mut runs = Vec::new();
-    for events in sequences {
-        let hit = cached
-            .entries()
-            .iter()
-            .find(|e| !used[e.id] && e.events == events && e.seed == config.seed);
-        let result = match hit {
-            Some(entry) => {
-                used[entry.id] = true;
-                match replay_entry(app, entry, config) {
-                    Ok(result) => Some(result),
-                    Err(reason) => {
-                        diags.push(DbDiagnostic {
-                            line: entry.id + 2, // header is line 1
-                            message: format!("stale cache entry {}: {reason}; regenerated", entry.id),
-                        });
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
-        let result = match result {
-            Some(r) => r,
-            None => run_sequence(app, &events, config)?,
-        };
-        db.record(events.clone(), config.seed, &result);
-        runs.push((events, result));
-    }
-    if let Err(e) = db.save(path) {
-        diags.push(DbDiagnostic {
-            line: 0,
-            message: format!("cannot write cache {}: {e}", path.display()),
-        });
-    }
-    Ok((Campaign { db, runs }, diags))
-}
-
-/// Replays one cached entry and checks it still reproduces its recorded
-/// metadata; the error is a human-readable staleness reason.
-fn replay_entry(app: &App, entry: &TestEntry, config: &ExplorerConfig) -> Result<SimResult, String> {
-    let compiled = compile(app, &entry.events).map_err(|e| format!("no longer compiles: {e}"))?;
-    let result = run(
-        &compiled.program,
-        &mut ScriptedScheduler::new(entry.decisions.clone()),
-        &SimConfig {
-            max_steps: config.max_steps,
-        },
-    )
-    .map_err(|e| format!("no longer simulates: {e}"))?;
-    if result.completed != entry.completed || result.trace.len() != entry.trace_len {
-        return Err(format!(
-            "replay diverged (completed {} vs {}, trace_len {} vs {})",
-            result.completed,
-            entry.completed,
-            result.trace.len(),
-            entry.trace_len
-        ));
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,101 +285,6 @@ mod tests {
             assert_eq!(c.db.len(), campaign.db.len(), "threads={threads}");
             assert_eq!(span.structure(), base.structure(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn text_format_round_trips() {
-        let app = app();
-        let config = ExplorerConfig {
-            max_depth: 2,
-            ..ExplorerConfig::default()
-        };
-        let campaign = run_campaign(&app, &config).expect("campaign runs");
-        let text = campaign.db.to_text();
-        let (loaded, diags) = ReplayDb::from_text(&text);
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(loaded.len(), campaign.db.len());
-        for (a, b) in loaded.entries().iter().zip(campaign.db.entries()) {
-            assert_eq!((a.id, a.seed, a.completed, a.trace_len), (b.id, b.seed, b.completed, b.trace_len));
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.decisions, b.decisions);
-        }
-    }
-
-    #[test]
-    fn corrupt_lines_are_skipped_with_diagnostics() {
-        let app = app();
-        let config = ExplorerConfig {
-            max_depth: 2,
-            ..ExplorerConfig::default()
-        };
-        let campaign = run_campaign(&app, &config).expect("campaign runs");
-        let text = campaign.db.to_text();
-        // Corrupt the second entry line in assorted ways; loading must skip
-        // exactly that entry, diagnose it, and renumber the survivors.
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() > 2, "need at least two entries");
-        for corrupt in ["entry x garbage", "entry 1 seed=abc", "zzz", "entry 1 seed=0 completed=2 trace_len=1 events=back decisions=-"] {
-            let mut mutated = lines.clone();
-            mutated[2] = corrupt;
-            let (loaded, diags) = ReplayDb::from_text(&mutated.join("\n"));
-            assert_eq!(loaded.len(), campaign.db.len() - 1, "corruption {corrupt:?}");
-            assert_eq!(diags.len(), 1, "corruption {corrupt:?}: {diags:?}");
-            assert_eq!(diags[0].line, 3);
-            // Dense renumbering keeps the database consistent.
-            for (i, e) in loaded.entries().iter().enumerate() {
-                assert_eq!(e.id, i);
-            }
-        }
-        // A missing header voids the whole file with a single diagnostic.
-        let (empty, diags) = ReplayDb::from_text("not a database\n");
-        assert!(empty.is_empty());
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].line, 1);
-        // Arbitrary garbage never panics.
-        let (_, _) = ReplayDb::from_text("");
-        let (_, _) = ReplayDb::from_text("\u{0}\u{1}\n\n entry");
-    }
-
-    #[test]
-    fn cached_campaign_heals_a_corrupted_cache() {
-        let app = app();
-        let config = ExplorerConfig {
-            max_depth: 2,
-            ..ExplorerConfig::default()
-        };
-        let path = std::env::temp_dir().join(format!("droidracer-replaydb-{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let baseline = run_campaign(&app, &config).expect("campaign runs");
-        // Cold cache: regenerates everything, writes the file.
-        let (cold, diags) = run_campaign_cached(&app, &config, &path).expect("cached campaign");
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(cold.db.len(), baseline.db.len());
-        // Warm cache: replays everything, still identical.
-        let (warm, diags) = run_campaign_cached(&app, &config, &path).expect("cached campaign");
-        assert!(diags.is_empty(), "{diags:?}");
-        for ((_, a), (_, b)) in warm.runs.iter().zip(&baseline.runs) {
-            assert_eq!(a.trace.ops(), b.trace.ops());
-        }
-        // Corrupt one line on disk: the run diagnoses, regenerates, and the
-        // file heals — a subsequent load parses clean.
-        let text = std::fs::read_to_string(&path).expect("cache readable");
-        let mutated: Vec<String> = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| if i == 2 { "entry 1 seed=broken".to_owned() } else { l.to_owned() })
-            .collect();
-        std::fs::write(&path, mutated.join("\n")).expect("cache writable");
-        let (healed, diags) = run_campaign_cached(&app, &config, &path).expect("cached campaign");
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(healed.db.len(), baseline.db.len());
-        for ((_, a), (_, b)) in healed.runs.iter().zip(&baseline.runs) {
-            assert_eq!(a.trace.ops(), b.trace.ops());
-        }
-        let (reloaded, diags) = ReplayDb::load(&path).expect("cache readable");
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(reloaded.len(), baseline.db.len());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -36,8 +36,8 @@ mod explore;
 mod input;
 
 pub use db::{
-    run_campaign, run_campaign_cached, run_campaign_isolated, run_campaign_parallel,
-    run_campaign_profiled, Campaign, DbDiagnostic, ReplayDb, TestEntry,
+    run_campaign, run_campaign_isolated, run_campaign_parallel, run_campaign_profiled, Campaign,
+    ReplayDb, TestEntry,
 };
 pub use explore::{enumerate_sequences, run_sequence, ExploreError, ExplorerConfig};
 pub use input::TextFormat;

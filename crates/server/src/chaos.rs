@@ -2,8 +2,7 @@
 //!
 //! [`run_soak`] executes a seeded [`ChaosPlan`]: for each [`Scenario`] it
 //! stands up a real in-process server, injects one class of fault —
-//! network (torn frames, mid-stream disconnects, stalls past the
-//! connection deadline), process (shard-worker kill via the `fault_hook`),
+//! network (torn frames, stalls past the connection deadline), process (shard-worker kill via the `fault_hook`),
 //! or disk (torn write-ahead-log tails, corrupt WAL records) — and then
 //! checks the serving invariants the resilience layer promises:
 //!
@@ -21,7 +20,7 @@
 //! Violations are *counted, not panicked*: the soak returns a
 //! [`ChaosReport`] whose violation counts are all zero on a healthy
 //! build, and `tests/chaos_soak.rs` asserts them. Every fault site (torn
-//! offsets, flipped bytes, chunk sizes) derives from [`ChaosPlan::seed`] —
+//! offsets, flipped bytes, the corrupted record) derives from [`ChaosPlan::seed`] —
 //! replaying a seed replays the exact fault plan, in the spirit of
 //! reproducible-nondeterminism testing.
 
@@ -44,8 +43,6 @@ use crate::store::{wal_record_ranges, wal_torn_tail_bytes, WAL_PREFIX};
 pub enum Scenario {
     /// A rogue connection writes half a frame and disconnects.
     TornFrame,
-    /// A streaming upload dies between chunks.
-    MidStreamDisconnect,
     /// A peer opens a connection and then stalls past the deadline.
     StalledPeer,
     /// The `shard.*` fault hook kills a shard worker thread mid-queue.
@@ -58,9 +55,8 @@ pub enum Scenario {
 
 impl Scenario {
     /// Every scenario, in canonical soak order.
-    pub const ALL: [Scenario; 6] = [
+    pub const ALL: [Scenario; 5] = [
         Scenario::TornFrame,
-        Scenario::MidStreamDisconnect,
         Scenario::StalledPeer,
         Scenario::ShardPanic,
         Scenario::TornWalTail,
@@ -71,7 +67,6 @@ impl Scenario {
     pub fn label(self) -> &'static str {
         match self {
             Scenario::TornFrame => "torn-frame",
-            Scenario::MidStreamDisconnect => "mid-stream-disconnect",
             Scenario::StalledPeer => "stalled-peer",
             Scenario::ShardPanic => "shard-panic",
             Scenario::TornWalTail => "torn-wal-tail",
@@ -95,7 +90,7 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// The full six-scenario soak under `scratch_dir`.
+    /// The full five-scenario soak under `scratch_dir`.
     pub fn full(seed: u64, scratch_dir: impl Into<std::path::PathBuf>) -> Self {
         ChaosPlan {
             seed,
@@ -299,7 +294,6 @@ pub fn run_soak(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         std::fs::create_dir_all(&dir)?;
         match scenario {
             Scenario::TornFrame => torn_frame(&mut soak)?,
-            Scenario::MidStreamDisconnect => mid_stream_disconnect(&mut soak)?,
             Scenario::StalledPeer => stalled_peer(&mut soak)?,
             Scenario::ShardPanic => shard_panic(&mut soak)?,
             Scenario::TornWalTail => torn_wal_tail(&mut soak, &dir)?,
@@ -337,42 +331,6 @@ fn torn_frame(soak: &mut Soak<'_>) -> io::Result<()> {
     }
     let retries = client.stats().retries;
     soak.report.client_retries += retries;
-    drop(client);
-    harness.stop(soak);
-    Ok(())
-}
-
-/// Streaming uploads die between chunks; the per-connection stream state
-/// must evaporate with the connection, leaving nothing half-submitted.
-fn mid_stream_disconnect(soak: &mut Soak<'_>) -> io::Result<()> {
-    let harness = Harness::start(ServerConfig::default())?;
-    let spec = JobSpec::default();
-    let mut client = harness.client("polite", soak.plan.seed ^ 0x1ead)?;
-    for i in 0..soak.plan.jobs_per_scenario.max(2) {
-        // A raw streamer opens a stream, sends a seeded number of chunks,
-        // then drops the socket without StreamFinish.
-        {
-            let mut dying = TcpStream::connect(&harness.addr)?;
-            let open = crate::protocol::Request::StreamOpen {
-                tenant: "dying".to_owned(),
-                spec: spec.to_token(),
-                chunk_ops: 2,
-            };
-            crate::protocol::write_frame(&mut dying, &open.encode())?;
-            let _ = crate::protocol::read_frame(&mut dying)?;
-            let text = soak_trace(i);
-            let chunks = 1 + (soak.rng.next() as usize) % 3;
-            for chunk in text.as_bytes().chunks(16).take(chunks) {
-                let req = crate::protocol::Request::StreamChunk { data: chunk.to_vec() };
-                crate::protocol::write_frame(&mut dying, &req.encode())?;
-                let _ = crate::protocol::read_frame(&mut dying)?;
-            }
-        }
-        soak.report.faults_injected += 1;
-
-        soak.submit_and_check(&mut client, &spec, i);
-    }
-    soak.report.client_retries += client.stats().retries;
     drop(client);
     harness.stop(soak);
     Ok(())

@@ -400,67 +400,6 @@ impl Client {
         self.with_retries(|c| c.submit_trace_once(spec, trace_text))
     }
 
-    fn submit_stream_once(
-        &mut self,
-        spec: &JobSpec,
-        trace_text: &str,
-        chunk_bytes: usize,
-        chunk_ops: u32,
-    ) -> io::Result<Submission> {
-        let open = self.roundtrip(&Request::StreamOpen {
-            tenant: self.tenant.clone(),
-            spec: spec.to_token(),
-            chunk_ops,
-        })?;
-        match open {
-            Response::StreamAck { .. } => {}
-            Response::Rejected { reason } => return Ok(Submission::Rejected { reason }),
-            Response::Overloaded { retry_after_ms } => {
-                return Ok(Submission::Overloaded { retry_after_ms })
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected response {other:?}"),
-                ))
-            }
-        }
-        for chunk in trace_text.as_bytes().chunks(chunk_bytes.max(1)) {
-            let ack = self.roundtrip(&Request::StreamChunk { data: chunk.to_vec() })?;
-            match ack {
-                Response::StreamAck { .. } => {}
-                Response::Rejected { reason } => return Ok(Submission::Rejected { reason }),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected response {other:?}"),
-                    ))
-                }
-            }
-        }
-        let done = self.roundtrip(&Request::StreamFinish)?;
-        Self::expect_report(done)
-    }
-
-    /// Uploads a trace in `chunk_bytes`-sized wire chunks and has the
-    /// server run it through the *streaming* engine in `chunk_ops`-sized
-    /// op chunks. A transport failure mid-stream restarts the whole upload
-    /// on a fresh connection (stream state is per-connection server-side,
-    /// so the half-sent stream simply evaporates).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures (after retries, if any) only.
-    pub fn submit_stream(
-        &mut self,
-        spec: &JobSpec,
-        trace_text: &str,
-        chunk_bytes: usize,
-        chunk_ops: u32,
-    ) -> io::Result<Submission> {
-        self.with_retries(|c| c.submit_stream_once(spec, trace_text, chunk_bytes, chunk_ops))
-    }
-
     /// Fetches the server's status snapshot (`key=value` lines; parse
     /// individual counters with
     /// [`status_counter`](crate::server::status_counter)).

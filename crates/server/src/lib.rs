@@ -2,8 +2,8 @@
 //!
 //! The paper's detector is a one-shot offline tool; this crate gives it a
 //! front door. Clients speak a simple length-prefixed framed protocol over
-//! TCP or Unix sockets ([`protocol`]), submitting whole traces or
-//! streaming uploads under a tenant identity; the server routes each job
+//! TCP or Unix sockets ([`protocol`]), submitting whole traces under a
+//! tenant identity; the server routes each job
 //! to one of N shard workers by tenant hash ([`server`]), answers repeat
 //! submissions from a content-addressed result cache ([`store`]), and
 //! isolates tenants from each other with per-tenant budgets, quotas and

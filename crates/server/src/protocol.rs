@@ -38,23 +38,6 @@ pub enum Request {
         /// Trace text bytes.
         trace: Vec<u8>,
     },
-    /// Open a streaming upload; subsequent [`Request::StreamChunk`] frames
-    /// append trace text until [`Request::StreamFinish`].
-    StreamOpen {
-        /// Tenant the job is accounted to.
-        tenant: String,
-        /// `JobSpec::to_token` encoding of the job options.
-        spec: String,
-        /// Ops per chunk fed to the incremental engine at finish.
-        chunk_ops: u32,
-    },
-    /// One chunk of trace text for the open stream.
-    StreamChunk {
-        /// Raw text bytes (need not align to line boundaries).
-        data: Vec<u8>,
-    },
-    /// Close the open stream and run the analysis.
-    StreamFinish,
     /// Ask for the server's metrics snapshot.
     Status,
     /// Ask the server to shut down cleanly (persisting its result cache).
@@ -71,11 +54,6 @@ pub enum Response {
         cache_hit: bool,
         /// `JobReport::to_record` encoding of the result.
         record: String,
-    },
-    /// Acknowledges a stream frame; `ops` is the total bytes buffered.
-    StreamAck {
-        /// Bytes buffered so far for the open stream.
-        buffered: u64,
     },
     /// Metrics snapshot as `key=value` lines (global `srv.*` counters plus
     /// `tenant.<name>.<counter>` per-tenant lines).
@@ -140,15 +118,14 @@ impl From<WireError> for io::Error {
     }
 }
 
-// Opcodes. Requests are < 0x80, responses >= 0x80.
+// Opcodes. Requests are < 0x80, responses >= 0x80. 0x02-0x04 and 0x82
+// belonged to a removed chunked-upload exchange and must not be
+// reassigned: old clients still send them, and they must keep decoding to
+// `UnknownOpcode`.
 const OP_SUBMIT: u8 = 0x01;
-const OP_STREAM_OPEN: u8 = 0x02;
-const OP_STREAM_CHUNK: u8 = 0x03;
-const OP_STREAM_FINISH: u8 = 0x04;
 const OP_STATUS: u8 = 0x05;
 const OP_SHUTDOWN: u8 = 0x06;
 const OP_REPORT: u8 = 0x81;
-const OP_STREAM_ACK: u8 = 0x82;
 const OP_STATUS_REPLY: u8 = 0x83;
 const OP_REJECTED: u8 = 0x84;
 const OP_BYE: u8 = 0x85;
@@ -262,11 +239,6 @@ impl BodyWriter {
         self.bytes(s.as_bytes())
     }
 
-    fn u32(&mut self, n: u32) -> &mut Self {
-        self.buf.extend_from_slice(&n.to_be_bytes());
-        self
-    }
-
     fn u64(&mut self, n: u64) -> &mut Self {
         self.buf.extend_from_slice(&n.to_be_bytes());
         self
@@ -355,17 +327,6 @@ impl Request {
                 w.str(tenant).str(spec).bytes(trace);
                 w.done()
             }
-            Request::StreamOpen { tenant, spec, chunk_ops } => {
-                let mut w = BodyWriter::new(OP_STREAM_OPEN);
-                w.str(tenant).str(spec).u32(*chunk_ops);
-                w.done()
-            }
-            Request::StreamChunk { data } => {
-                let mut w = BodyWriter::new(OP_STREAM_CHUNK);
-                w.bytes(data);
-                w.done()
-            }
-            Request::StreamFinish => BodyWriter::new(OP_STREAM_FINISH).done(),
             Request::Status => BodyWriter::new(OP_STATUS).done(),
             Request::Shutdown => BodyWriter::new(OP_SHUTDOWN).done(),
         }
@@ -384,13 +345,6 @@ impl Request {
                 spec: r.str()?,
                 trace: r.bytes()?,
             },
-            OP_STREAM_OPEN => Request::StreamOpen {
-                tenant: r.str()?,
-                spec: r.str()?,
-                chunk_ops: r.u32()?,
-            },
-            OP_STREAM_CHUNK => Request::StreamChunk { data: r.bytes()? },
-            OP_STREAM_FINISH => Request::StreamFinish,
             OP_STATUS => Request::Status,
             OP_SHUTDOWN => Request::Shutdown,
             other => return Err(WireError::UnknownOpcode(other)),
@@ -407,11 +361,6 @@ impl Response {
             Response::Report { cache_hit, record } => {
                 let mut w = BodyWriter::new(OP_REPORT);
                 w.u8(u8::from(*cache_hit)).str(record);
-                w.done()
-            }
-            Response::StreamAck { buffered } => {
-                let mut w = BodyWriter::new(OP_STREAM_ACK);
-                w.u64(*buffered);
                 w.done()
             }
             Response::Status { text } => {
@@ -445,7 +394,6 @@ impl Response {
                 cache_hit: r.u8()? != 0,
                 record: r.str()?,
             },
-            OP_STREAM_ACK => Response::StreamAck { buffered: r.u64()? },
             OP_STATUS_REPLY => Response::Status { text: r.str()? },
             OP_REJECTED => Response::Rejected { reason: r.str()? },
             OP_OVERLOADED => Response::Overloaded {
@@ -471,13 +419,6 @@ mod tests {
                 spec: "v1:full:merge:strict:ops=-:bits=-:dl=-".into(),
                 trace: b"droidracer-trace v1\n".to_vec(),
             },
-            Request::StreamOpen {
-                tenant: "".into(),
-                spec: "s".into(),
-                chunk_ops: 64,
-            },
-            Request::StreamChunk { data: vec![0, 255, 10, 13] },
-            Request::StreamFinish,
             Request::Status,
             Request::Shutdown,
         ];
@@ -494,7 +435,6 @@ mod tests {
                 cache_hit: true,
                 record: "exit=clean counts=0,0,0,0,0 stats=0,0,0,0,0 races=- diags=-".into(),
             },
-            Response::StreamAck { buffered: u64::MAX },
             Response::Status { text: "srv.cache_hits=3\n".into() },
             Response::Rejected { reason: "unknown tenant".into() },
             Response::Overloaded { retry_after_ms: 250 },
@@ -540,6 +480,15 @@ mod tests {
             Response::decode(&Request::Status.encode()),
             Err(WireError::UnknownOpcode(OP_STATUS))
         );
+        // The retired upload opcodes are unknown in both directions.
+        for op in [0x02, 0x03, 0x04] {
+            let mut payload = Request::Status.encode();
+            payload[2] = op;
+            assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(op)));
+        }
+        let mut payload = Response::Bye.encode();
+        payload[2] = 0x82;
+        assert_eq!(Response::decode(&payload), Err(WireError::UnknownOpcode(0x82)));
     }
 
     #[test]

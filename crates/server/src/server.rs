@@ -15,8 +15,8 @@
 //! * every job's spec is clamped to the server's per-job [`Budget`] caps
 //!   and to the tenant's remaining cumulative word-ops quota, so runaway
 //!   inputs hit a typed `Resource` cutoff;
-//! * results of completed batch jobs land in the content-addressed
-//!   result cache, keyed by spec token + trace bytes — a resubmission is
+//! * results of completed jobs land in the content-addressed result
+//!   cache, keyed by spec token + trace bytes — a resubmission is
 //!   answered from the cache with zero recomputation (the tenant's
 //!   `hb.word_ops` counter does not move).
 //!
@@ -223,9 +223,6 @@ struct Job {
     tenant: String,
     spec: JobSpec,
     trace_text: String,
-    /// `Some(chunk_ops)` drives the streaming engine (stream uploads);
-    /// `None` is a whole-trace batch job.
-    stream_chunk_ops: Option<usize>,
     reply: mpsc::Sender<JobReport>,
 }
 
@@ -270,12 +267,7 @@ fn execute_job(shared: &Shared, job: Job) {
         if let Some(hook) = hook {
             hook(&format!("job.{tenant}"));
         }
-        match job.stream_chunk_ops {
-            Some(chunk_ops) => {
-                Ok(LocalService::new().submit_streaming(&spec, &job.trace_text, chunk_ops))
-            }
-            None => LocalService::new().submit(&spec, &job.trace_text),
-        }
+        LocalService::new().submit(&spec, &job.trace_text)
     });
     rec.end();
     let spans = rec.finish();
@@ -390,14 +382,6 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Connection-local state of an open streaming upload.
-struct OpenStream {
-    tenant: String,
-    spec: JobSpec,
-    chunk_ops: usize,
-    buf: Vec<u8>,
-}
-
 /// Handles one client connection until EOF, timeout, or shutdown.
 fn handle_conn(
     shared: &Shared,
@@ -405,7 +389,6 @@ fn handle_conn(
     wake: &dyn Fn(),
     mut conn: Box<dyn Conn>,
 ) {
-    let mut open_stream: Option<OpenStream> = None;
     loop {
         let payload = match read_frame(&mut conn) {
             Ok(Some(payload)) => payload,
@@ -413,7 +396,7 @@ fn handle_conn(
             Err(e) => {
                 // A stalled peer hit the connection deadline; a torn frame
                 // or disconnect just drops. Either way the connection is
-                // unusable — any stream in progress evaporates with it.
+                // unusable.
                 if is_timeout(&e) {
                     shared.bump("srv.conn_timeouts");
                 }
@@ -434,70 +417,8 @@ fn handle_conn(
                 }
             }
             Ok(Request::Submit { tenant, spec, trace }) => {
-                submit_response(shared, shard_txs, tenant, &spec, trace, None)
+                submit_response(shared, shard_txs, tenant, &spec, trace)
             }
-            Ok(Request::StreamOpen { tenant, spec, chunk_ops }) => {
-                match admit(shared, &tenant).and_then(|()| parse_spec(&spec)) {
-                    Err(reason) => {
-                        shared.bump("srv.rejected");
-                        Response::Rejected { reason }
-                    }
-                    Ok(spec) => {
-                        open_stream = Some(OpenStream {
-                            tenant,
-                            spec,
-                            chunk_ops: chunk_ops.max(1) as usize,
-                            buf: Vec::new(),
-                        });
-                        Response::StreamAck { buffered: 0 }
-                    }
-                }
-            }
-            Ok(Request::StreamChunk { data }) => match open_stream.as_mut() {
-                None => {
-                    shared.bump("srv.rejected");
-                    Response::Rejected {
-                        reason: "no open stream".to_owned(),
-                    }
-                }
-                Some(stream) => {
-                    if stream.buf.len() + data.len() > shared.config.max_trace_bytes() {
-                        let tenant = stream.tenant.clone();
-                        open_stream = None;
-                        shared.bump("srv.rejected");
-                        Response::Rejected {
-                            reason: format!(
-                                "stream for tenant `{tenant}` exceeds {} bytes",
-                                shared.config.max_trace_bytes()
-                            ),
-                        }
-                    } else {
-                        stream.buf.extend_from_slice(&data);
-                        Response::StreamAck {
-                            buffered: stream.buf.len() as u64,
-                        }
-                    }
-                }
-            },
-            Ok(Request::StreamFinish) => match open_stream.take() {
-                None => {
-                    shared.bump("srv.rejected");
-                    Response::Rejected {
-                        reason: "no open stream".to_owned(),
-                    }
-                }
-                Some(stream) => {
-                    shared.bump("srv.streamed");
-                    submit_response(
-                        shared,
-                        shard_txs,
-                        stream.tenant,
-                        &stream.spec.to_token(),
-                        stream.buf,
-                        Some(stream.chunk_ops),
-                    )
-                }
-            },
             Ok(Request::Status) => Response::Status {
                 text: shared.render_status(),
             },
@@ -522,7 +443,7 @@ fn handle_conn(
     }
 }
 
-/// Admission checks shared by batch and stream jobs.
+/// Admission checks: a nonempty tenant name on the allowlist, if any.
 fn admit(shared: &Shared, tenant: &str) -> Result<(), String> {
     if tenant.is_empty() {
         return Err("empty tenant name".to_owned());
@@ -549,7 +470,6 @@ fn submit_response(
     tenant: String,
     spec_token: &str,
     trace: Vec<u8>,
-    stream_chunk_ops: Option<usize>,
 ) -> Response {
     let admitted = admit(shared, &tenant)
         .and_then(|()| parse_spec(spec_token))
@@ -573,19 +493,16 @@ fn submit_response(
         }
     };
 
-    // Content-addressed cache — batch jobs only (a streamed job's stats
-    // legitimately differ from the batch stats for the same bytes, so the
-    // two must not share a key; streams are rare enough not to cache).
+    // Content-addressed cache: same spec token + same trace bytes, same
+    // report.
     let key = job_key(spec_token, text.as_bytes());
-    if stream_chunk_ops.is_none() {
-        if let Some(report) = shared.cache.lock().unwrap().get(key) {
-            shared.bump("srv.cache_hits");
-            shared.bump_tenant(&tenant, "srv.cache_hits", 1);
-            return Response::Report {
-                cache_hit: true,
-                record: report.to_record(),
-            };
-        }
+    if let Some(report) = shared.cache.lock().unwrap().get(key) {
+        shared.bump("srv.cache_hits");
+        shared.bump_tenant(&tenant, "srv.cache_hits", 1);
+        return Response::Report {
+            cache_hit: true,
+            record: report.to_record(),
+        };
     }
 
     let (reply_tx, reply_rx) = mpsc::channel();
@@ -594,7 +511,6 @@ fn submit_response(
         tenant: tenant.clone(),
         spec,
         trace_text: text,
-        stream_chunk_ops,
         reply: reply_tx,
     };
     // Bounded admission: a full queue sheds the job *before* any work or
@@ -622,11 +538,11 @@ fn submit_response(
             }
         }
     };
-    // Cache completed batch analyses, durably (fsynced) when the cache is
+    // Cache completed analyses, durably (fsynced) when the cache is
     // WAL-backed — this runs before the response frame is written, so an
     // acknowledged report is a recoverable report. Resource reports depend
     // on quota state at execution time, so they are not memoizable.
-    if stream_chunk_ops.is_none() && report.exit != ExitClass::Resource {
+    if report.exit != ExitClass::Resource {
         match shared.cache.lock().unwrap().insert(key, report.clone()) {
             Ok(()) => shared.bump("srv.cache_stores"),
             Err(_) => {

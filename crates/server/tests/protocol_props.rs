@@ -26,39 +26,17 @@ proptest! {
     }
 
     #[test]
-    fn stream_requests_round_trip(
-        tenant in proptest::collection::vec(any::<u8>(), 0..24),
-        chunk_ops in any::<u32>(),
-        data in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let open = Request::StreamOpen {
-            tenant: String::from_utf8_lossy(&tenant).into_owned(),
-            spec: "v1:full:merge:strict:ops=-:bits=-:dl=-".to_owned(),
-            chunk_ops,
-        };
-        prop_assert_eq!(Request::decode(&open.encode()).unwrap(), open);
-        let chunk = Request::StreamChunk { data };
-        prop_assert_eq!(Request::decode(&chunk.encode()).unwrap(), chunk);
-        prop_assert_eq!(
-            Request::decode(&Request::StreamFinish.encode()).unwrap(),
-            Request::StreamFinish
-        );
-    }
-
-    #[test]
     fn responses_round_trip(
         cache_hit in any::<bool>(),
         record in proptest::collection::vec(any::<u8>(), 0..200),
-        buffered in any::<u64>(),
+        retry_after_ms in any::<u64>(),
     ) {
         let report = Response::Report {
             cache_hit,
             record: String::from_utf8_lossy(&record).into_owned(),
         };
         prop_assert_eq!(Response::decode(&report.encode()).unwrap(), report);
-        let ack = Response::StreamAck { buffered };
-        prop_assert_eq!(Response::decode(&ack.encode()).unwrap(), ack);
-        let shed = Response::Overloaded { retry_after_ms: buffered };
+        let shed = Response::Overloaded { retry_after_ms };
         prop_assert_eq!(Response::decode(&shed.encode()).unwrap(), shed);
         prop_assert_eq!(Response::decode(&Response::Bye.encode()).unwrap(), Response::Bye);
     }

@@ -5,7 +5,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use droidracer_core::{AnalysisService, ExitClass, JobSpec, LocalService};
-use droidracer_server::{status_counter, Client, Server, ServerConfig, Submission};
+use droidracer_server::protocol::{read_frame, write_frame};
+use droidracer_server::{
+    status_counter, Client, Request, Response, Server, ServerConfig, Submission, WIRE_VERSION,
+};
 use droidracer_trace::{to_text, ThreadKind, TraceBuilder};
 
 /// A small racy trace (one multithreaded race).
@@ -86,31 +89,22 @@ fn reused_connection_round_trips_do_not_stall() {
     assert!(!first.cache_hit());
     let report = first.report().expect("completed").clone();
 
-    let chunk_bytes = (text.len() / 16).max(1);
-    let chunks = text.len().div_ceil(chunk_bytes);
-    assert!(chunks >= 16, "{chunks} chunks");
     let started = std::time::Instant::now();
     for _ in 0..40 {
         let hit = client.submit_trace(&spec, &text).expect("resubmit");
         assert!(hit.cache_hit());
         assert_eq!(hit.report(), Some(&report), "cached report identical");
     }
-    let streamed = client.submit_stream(&spec, &text, chunk_bytes, 2).expect("stream");
     let elapsed = started.elapsed();
     assert!(
         elapsed < std::time::Duration::from_secs(1),
-        "40 hits + a {chunks}-chunk stream took {elapsed:?}"
+        "40 hits took {elapsed:?}"
     );
-    // A streamed report carries streaming stats, so it is pinned against
-    // the same upload run locally rather than against the batch report.
-    let local = LocalService::new().submit_streaming(&spec, &text, 2);
-    assert_eq!(streamed.report(), Some(&local));
-    assert_eq!(local.races, report.races);
 
-    // Every answered request so far is one latency observation: the miss,
-    // the 40 hits, and the stream's open, chunks and finish.
+    // Every answered request so far is one latency observation: the miss
+    // and the 40 hits.
     let status = client.status().expect("status");
-    let requests = 1 + 40 + 1 + chunks as u64 + 1;
+    let requests = 1 + 40;
     assert_eq!(status_counter(&status, "srv.request_us.count"), Some(requests), "{status}");
     let p50 = status_counter(&status, "srv.request_us.p50_le").expect("p50");
     let p99 = status_counter(&status, "srv.request_us.p99_le").expect("p99");
@@ -139,33 +133,6 @@ fn distinct_specs_do_not_share_cache_entries() {
         "different spec, same bytes: must be a distinct cache key"
     );
     assert!(client.submit_trace(&full, &text).unwrap().cache_hit());
-    client.shutdown().expect("shutdown");
-    drop(client);
-    server.join().expect("join").expect("clean run");
-}
-
-#[test]
-fn streamed_submission_matches_batch_races() {
-    let (addr, server) = start_tcp(ServerConfig::default());
-    let mut client = Client::connect_tcp(&addr, "alice").expect("connect");
-    let spec = JobSpec::default();
-    let text = racy_text();
-    let batch = client
-        .submit_trace(&spec, &text)
-        .unwrap()
-        .report()
-        .expect("batch")
-        .clone();
-    let streamed = client
-        .submit_stream(&spec, &text, 7, 2)
-        .unwrap()
-        .report()
-        .expect("streamed")
-        .clone();
-    assert!(streamed.stats.streamed);
-    assert_eq!(streamed.races, batch.races);
-    assert_eq!(streamed.counts, batch.counts);
-    assert_eq!(streamed.exit, batch.exit);
     client.shutdown().expect("shutdown");
     drop(client);
     server.join().expect("join").expect("clean run");
@@ -396,6 +363,40 @@ fn invalid_and_torn_traffic_keeps_the_connection_and_server_alive() {
         use std::io::Write;
         let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
         raw.write_all(&[0, 0]).expect("torn prefix");
+    }
+
+    // An old client opening the retired chunked upload (opcode 0x02:
+    // tenant, spec token, u32 chunk size) is rejected by name, and the
+    // same connection still serves a whole-trace submission.
+    {
+        let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+        let mut open = WIRE_VERSION.to_be_bytes().to_vec();
+        open.push(0x02);
+        for field in ["alice".to_owned(), JobSpec::default().to_token()] {
+            open.extend_from_slice(&(field.len() as u32).to_be_bytes());
+            open.extend_from_slice(field.as_bytes());
+        }
+        open.extend_from_slice(&64u32.to_be_bytes());
+        let mut roundtrip = |payload: &[u8]| {
+            write_frame(&mut raw, payload).expect("write");
+            let reply = read_frame(&mut raw).expect("read").expect("a reply frame");
+            Response::decode(&reply).expect("decodable reply")
+        };
+        match roundtrip(&open) {
+            Response::Rejected { reason } => {
+                assert!(reason.contains("unknown opcode 0x02"), "{reason}")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        let submit = Request::Submit {
+            tenant: "alice".to_owned(),
+            spec: JobSpec::default().to_token(),
+            trace: racy_text().into_bytes(),
+        };
+        assert!(
+            matches!(roundtrip(&submit.encode()), Response::Report { .. }),
+            "the connection must survive the rejection"
+        );
     }
 
     // The polite client still works.

@@ -23,9 +23,9 @@
 //!                  [--max-job-matrix-bits N] [--queue-depth N]
 //!                  [--conn-timeout-ms MS]
 //! droidracer submit <trace-file> [--connect ADDR|--socket PATH]
-//!                   [--tenant NAME] [--stream] [--chunk-ops N]
-//!                   [--mode MODE] [--no-merge] [--validate] [--lenient]
-//!                   [--retries N] [--retry-timeout-ms MS] [budget flags]
+//!                   [--tenant NAME] [--mode MODE] [--no-merge] [--validate]
+//!                   [--lenient] [--retries N] [--retry-timeout-ms MS]
+//!                   [budget flags]
 //! droidracer submit --status|--shutdown [--connect ADDR|--socket PATH]
 //! ```
 //!
@@ -109,7 +109,8 @@ fn usage() -> ExitCode {
       --socket PATH     listen on a Unix socket instead of TCP
       --shards N        shard worker threads (default 2)
       --tenants a,b,c   tenant allowlist (default: any tenant)
-      --max-trace-bytes N  reject larger submissions (default 8 MiB)
+      --max-trace-bytes N  reject larger submissions (default 8 MiB; one
+                        frame caps a trace at 64 MiB whatever N is)
       --tenant-quota-ops N cumulative word-ops quota per tenant
       --max-job-ops N   per-job analysis work cap
       --max-job-matrix-bits N  per-job matrix allocation cap
@@ -124,8 +125,6 @@ fn usage() -> ExitCode {
       --connect ADDR    server TCP address (default 127.0.0.1:7911)
       --socket PATH     connect over a Unix socket instead
       --tenant NAME     tenant identity (default `cli`)
-      --stream          drive the server's streaming engine
-      --chunk-ops N     streaming chunk size in ops (default 64)
       --retries N       retry transient failures and shed load up to N
                         times with jittered exponential backoff;
                         exhausted retries exit 3 (default 0: fail fast)
@@ -929,8 +928,6 @@ struct SubmitOpts {
     socket: Option<String>,
     tenant: String,
     spec: JobSpec,
-    stream: bool,
-    chunk_ops: usize,
     retries: u32,
     retry_timeout_ms: Option<u64>,
 }
@@ -958,8 +955,6 @@ fn parse_submit_opts(args: &[String]) -> Option<SubmitOpts> {
         socket: None,
         tenant: "cli".to_owned(),
         spec: JobSpec::default(),
-        stream: false,
-        chunk_ops: 64,
         retries: 0,
         retry_timeout_ms: None,
     };
@@ -987,14 +982,6 @@ fn parse_submit_opts(args: &[String]) -> Option<SubmitOpts> {
             }
             "--tenant" => {
                 opts.tenant = args.get(i + 1)?.clone();
-                i += 2;
-            }
-            "--stream" => {
-                opts.stream = true;
-                i += 1;
-            }
-            "--chunk-ops" => {
-                opts.chunk_ops = args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&n| n > 0)?;
                 i += 2;
             }
             "--retries" => {
@@ -1074,12 +1061,7 @@ fn cmd_submit(opts: &SubmitOpts) -> Result<ExitCode, Error> {
         SubmitAction::Job(path) => path,
     };
     let text = std::fs::read_to_string(path)?;
-    let submission = if opts.stream {
-        client.submit_stream(&opts.spec, &text, 4096, opts.chunk_ops as u32)?
-    } else {
-        client.submit_trace(&opts.spec, &text)?
-    };
-    match submission {
+    match client.submit_trace(&opts.spec, &text)? {
         Submission::Done { cache_hit, report } => {
             println!("cache {}", if cache_hit { "hit" } else { "miss" });
             print!("{}", report.render());

@@ -63,11 +63,14 @@ fn clean_corpus_traces_parse_without_repairs() {
 /// after the begin it schedules, which yields a backward POST edge, and two
 /// tasks overlapping on one looper, which yield an end-after-begin FIFO
 /// candidate. Both must still end in a typed report on every front door:
-/// the batch submission, the streaming one (whose degenerate fallback runs
-/// the batch engine), and a validating spec that rejects them up front.
+/// the batch submission, a streaming session (whose degenerate fallback
+/// runs the batch engine), and a validating spec that rejects them up
+/// front.
 #[test]
 fn invalid_but_parseable_traces_never_panic_the_engines() {
-    use droidracer::core::{AnalysisService, ExitClass, JobSpec, LocalService};
+    use droidracer::core::{
+        AnalysisService, ExitClass, JobReport, JobSpec, LocalService, StreamOptions,
+    };
 
     let post_after_begin = "droidracer-trace v1\n\
         thread t0 main initial \"main\"\n\
@@ -102,8 +105,14 @@ fn invalid_but_parseable_traces_never_panic_the_engines() {
             matches!(batch.exit, ExitClass::Clean | ExitClass::Races),
             "{name}: batch report {batch:?}"
         );
+        let trace = droidracer::trace::from_text(text).expect("parseable");
         for chunk_ops in [1, 4, 64] {
-            let streamed = service.submit_streaming(&spec, text, chunk_ops);
+            let mut session = spec.builder().streaming(StreamOptions::default());
+            for piece in trace.ops().chunks(chunk_ops) {
+                session.push_chunk(piece).expect("no budget");
+            }
+            let outcome = session.finish(trace.names()).expect("no budget").outcome;
+            let streamed = JobReport::from_stream(&outcome, trace.names(), Vec::new());
             assert_eq!(streamed.exit, batch.exit, "{name}: chunk {chunk_ops}");
             assert_eq!(streamed.races, batch.races, "{name}: chunk {chunk_ops}");
         }
@@ -114,8 +123,6 @@ fn invalid_but_parseable_traces_never_panic_the_engines() {
         let rejected = service
             .submit(&validating, text)
             .expect("in-process submit");
-        assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
-        let rejected = service.submit_streaming(&validating, text, 4);
         assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
     }
 }
