@@ -14,26 +14,11 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActivityId(pub(crate) usize);
 
-/// Reference to a widget.
+/// Reference to a widget of an [`App`]. An id made by another app that does
+/// not exist in the compiled one is rejected by [`crate::compile`] with a
+/// typed error, never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WidgetId(pub(crate) usize);
-
-impl WidgetId {
-    /// Position of this widget in the app's widget table. Stable across
-    /// compiles of the same [`App`]; used by the explorer's replay-database
-    /// text format.
-    pub fn index(self) -> usize {
-        self.0
-    }
-
-    /// Reconstructs an id from a table position (e.g. when loading a replay
-    /// database). The index is *not* checked here — an id that does not
-    /// exist in the target app is rejected by [`crate::compile`] with a
-    /// typed error, never a panic.
-    pub fn from_index(index: usize) -> Self {
-        WidgetId(index)
-    }
-}
 
 /// Reference to an AsyncTask definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,11 +73,6 @@ pub enum UiEventKind {
 }
 
 impl UiEventKind {
-    /// All kinds.
-    pub fn all() -> [UiEventKind; 3] {
-        [UiEventKind::Click, UiEventKind::LongClick, UiEventKind::TextInput]
-    }
-
     /// Short label used in event names.
     pub fn label(self) -> &'static str {
         match self {
@@ -691,6 +671,5 @@ mod tests {
     #[test]
     fn event_kind_labels() {
         assert_eq!(UiEventKind::Click.to_string(), "click");
-        assert_eq!(UiEventKind::all().len(), 3);
     }
 }

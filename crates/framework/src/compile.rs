@@ -192,8 +192,8 @@ pub enum CompileError {
         /// Description of the offending event.
         event: String,
     },
-    /// A widget id does not exist in this app (e.g. an event sequence
-    /// loaded from a stale replay database).
+    /// A widget id does not exist in this app (it was made by another
+    /// [`App`]).
     UnknownWidget {
         /// The out-of-range widget-table index.
         index: usize,
@@ -1196,7 +1196,7 @@ mod tests {
     #[test]
     fn stale_widget_id_is_rejected_not_panicking() {
         let (app, _) = music_player();
-        let stale = WidgetId::from_index(999);
+        let stale = WidgetId(999);
         let err = compile(&app, &[UiEvent::Widget(stale, UiEventKind::Click)]).unwrap_err();
         assert!(matches!(err, CompileError::UnknownWidget { index: 999 }));
     }

@@ -152,7 +152,7 @@ impl FuzzReport {
     }
 
     /// Exports the session counters into `registry` under the `fuzz.`
-    /// prefix (picked up by the bench pipeline's `BENCH_pipeline.json`).
+    /// prefix (written into the `droidracer fuzz --profile` export).
     pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
         registry.counter_add("fuzz.iterations", self.iterations);
         registry.counter_add("fuzz.completed_runs", self.completed_runs);
@@ -165,7 +165,7 @@ impl FuzzReport {
     }
 
     /// Total streamed-vs-batch divergences across all failures (the layer-5
-    /// differential; the CI stream-smoke step asserts this stays zero).
+    /// differential; any one fails the session like every other divergence).
     pub fn stream_divergences(&self) -> usize {
         self.failures
             .iter()
@@ -470,6 +470,15 @@ mod tests {
         assert_eq!(report.oracle_divergences(), 0, "{}", report.render());
         assert_eq!(report.iterations, 60);
         assert!(report.total_ops > 0);
+        // A generator that stops reaching a component path would leave the
+        // oracles nothing to check there.
+        for tag in ComponentTag::all() {
+            let feature = format!("gen.component.{}", tag.label());
+            assert!(
+                report.coverage.count(&feature) > 0,
+                "{feature} never generated"
+            );
+        }
     }
 
     #[test]

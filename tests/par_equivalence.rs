@@ -4,14 +4,16 @@
 //! *bit-identical* to the sequential one — same races, same order, same
 //! counts, same engine counters, same rendered report — for every thread
 //! count. These tests pin that contract across all three parallel entry
-//! points (corpus analysis, UI exploration, explorer campaigns) on the full
-//! corpus and on proptest-generated random applications, for
-//! `n_threads ∈ {1, 2, 8}`.
+//! points (corpus analysis, plain and fault-isolated; UI exploration;
+//! explorer campaigns) on the full corpus and on proptest-generated random
+//! applications, for `n_threads ∈ {1, 2, 8}`.
 
 use proptest::prelude::*;
 
-use droidracer::apps::{analyze_corpus_parallel, corpus, open_source_corpus};
-use droidracer::core::{analyze_all, par_map, Analysis, AnalysisBuilder};
+use droidracer::apps::{
+    analyze_corpus_isolated, analyze_corpus_parallel, corpus, open_source_corpus,
+};
+use droidracer::core::{analyze_all, par_map, Analysis, AnalysisBuilder, Budget};
 use droidracer::explorer::{run_campaign, run_campaign_parallel, ExplorerConfig};
 use droidracer::framework::{compile, App, AppBuilder, Stmt, UiEvent, UiEventKind};
 use droidracer::sim::{run, RandomScheduler, SimConfig};
@@ -49,15 +51,32 @@ fn corpus_analysis_is_identical_across_thread_counts() {
         .map(|e| e.analyze().expect("corpus entries analyze"))
         .collect();
     for threads in THREAD_COUNTS {
-        let parallel = analyze_corpus_parallel(&entries, threads);
-        assert_eq!(parallel.len(), sequential.len());
-        for ((entry, p), s) in entries.iter().zip(&parallel).zip(&sequential) {
-            let p = p.as_ref().expect("corpus entries analyze");
-            let context = format!("{} at {} threads", entry.name, threads);
-            assert_eq!(p.stats, s.stats, "{context}: trace stats differ");
-            assert_eq!(p.reported, s.reported, "{context}: reported differ");
-            assert_eq!(p.verified, s.verified, "{context}: verified differ");
-            assert_analyses_identical(&p.analysis, &s.analysis, &context);
+        let parallel = analyze_corpus_parallel(&entries, threads)
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()));
+        // The fault-isolated run under an unlimited budget must quarantine
+        // nothing on the clean corpus and change no report.
+        let isolated = analyze_corpus_isolated(&entries, threads, &Budget::unlimited())
+            .into_iter()
+            .map(|r| r.map_err(|q| q.to_string()));
+        let runs: [(&str, Vec<_>); 2] = [
+            ("parallel", parallel.collect()),
+            ("isolated", isolated.collect()),
+        ];
+        for (kind, reports) in runs {
+            assert_eq!(
+                reports.len(),
+                sequential.len(),
+                "{kind} at {threads} threads"
+            );
+            for ((entry, p), s) in entries.iter().zip(reports).zip(&sequential) {
+                let context = format!("{} at {} threads ({kind})", entry.name, threads);
+                let p = p.unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert_eq!(p.stats, s.stats, "{context}: trace stats differ");
+                assert_eq!(p.reported, s.reported, "{context}: reported differ");
+                assert_eq!(p.verified, s.verified, "{context}: verified differ");
+                assert_analyses_identical(&p.analysis, &s.analysis, &context);
+            }
         }
     }
 }

@@ -5,16 +5,24 @@
 //! rejected with a clean typed `ParseTraceError` — never a panic. The
 //! storm runner (`droidracer::fuzz::inject::storm`) wraps each parse in a
 //! panic boundary and counts non-converging repairs as contract
-//! violations too.
+//! violations too. A proptest then sends corrupted traces under any job
+//! spec through `LocalService`, the front door the server runs.
+
+use proptest::prelude::*;
 
 use droidracer::apps::corpus;
-use droidracer::fuzz::inject::storm;
+use droidracer::core::{
+    AnalysisService, ExitClass, HbMode, JobReport, JobSpec, LocalService, StreamOptions,
+};
+use droidracer::fuzz::inject::{corrupt, storm};
 use droidracer::trace::to_text;
 
 /// Corruptions per corpus trace. Debug builds run a reduced storm so the
-/// plain `cargo test` gate stays fast; the CI `corruption-smoke` step runs
+/// plain `cargo test` gate stays fast; CI's `Release test suites` step runs
 /// the full 1,000 per trace in release mode.
 const STORM_SIZE: u64 = if cfg!(debug_assertions) { 50 } else { 1_000 };
+
+const AARD_TRACE: &str = include_str!("data/aard_dictionary.trace");
 
 #[test]
 fn corrupted_corpus_traces_never_panic_the_parser() {
@@ -68,10 +76,6 @@ fn clean_corpus_traces_parse_without_repairs() {
 /// front.
 #[test]
 fn invalid_but_parseable_traces_never_panic_the_engines() {
-    use droidracer::core::{
-        AnalysisService, ExitClass, JobReport, JobSpec, LocalService, StreamOptions,
-    };
-
     let post_after_begin = "droidracer-trace v1\n\
         thread t0 main initial \"main\"\n\
         task p0 \"a\"\n\
@@ -124,5 +128,54 @@ fn invalid_but_parseable_traces_never_panic_the_engines() {
             .submit(&validating, text)
             .expect("in-process submit");
         assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
+    }
+}
+
+/// Every `HbMode` and both settings of each flag, with no cap or one small
+/// enough that some corrupted Aard Dictionary traces (8,039 word-ops, 254
+/// graph nodes when intact) blow it and some do not. No deadline: a wall
+/// clock would make the outcome depend on the machine.
+fn any_job_spec() -> impl Strategy<Value = JobSpec> {
+    (
+        0..HbMode::all().len(),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        prop_oneof![Just(None), (0u64..16_384).prop_map(Some)],
+        prop_oneof![Just(None), (0u64..262_144).prop_map(Some)],
+    )
+        .prop_map(
+            |(mode, (merge_accesses, validate, lenient), max_ops, max_matrix_bits)| JobSpec {
+                mode: HbMode::all()[mode],
+                merge_accesses,
+                validate,
+                lenient,
+                max_ops,
+                max_matrix_bits,
+                deadline_ms: None,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any spec on any corrupted trace ends in a typed report through
+    /// `LocalService`: no panic, no completed analysis past its op cap, and
+    /// a cache record that decodes back to the same report.
+    #[test]
+    fn any_spec_on_a_corrupted_trace_yields_a_typed_report(
+        seed in any::<u64>(),
+        spec in any_job_spec(),
+    ) {
+        let (text, kind) = corrupt(AARD_TRACE, seed);
+        let context = format!("{kind:?} corruption, seed {seed}, spec {}", spec.to_token());
+        let report = LocalService::new().submit(&spec, &text).expect("in-process submit");
+        if let (Some(cap), false) = (spec.max_ops, report.exit == ExitClass::Resource) {
+            prop_assert!(
+                report.stats.word_ops <= cap,
+                "{context}: {} word-ops past the cap {cap}",
+                report.stats.word_ops
+            );
+        }
+        prop_assert_eq!(JobReport::from_record(&report.to_record()), Ok(report), "{context}");
     }
 }

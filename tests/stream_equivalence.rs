@@ -148,16 +148,19 @@ fn corpus_streamed_equals_batch_without_merging() {
     }
 }
 
-/// Summarization bounds live memory: on the larger corpus entries the
-/// windowed session must retire columns and keep its peak matrix
-/// footprint below the batch engine's dense `2·n²` bits.
+/// Summarization bounds live memory: on the larger corpus entries (K-9
+/// Mail among them) the windowed session must retire columns and keep its
+/// peak matrix footprint below the batch engine's dense `2·n²` bits, while
+/// still reporting exactly the batch races.
 #[test]
 fn summarization_bounds_memory_on_large_entries() {
+    let mut checked = Vec::new();
     for entry in corpus() {
         let trace = entry.generate_trace().expect("corpus entries generate");
         if trace.len() < 20_000 {
             continue;
         }
+        checked.push(entry.name);
         let config = HbConfig::new();
         let options = StreamOptions {
             summarize: true,
@@ -165,7 +168,12 @@ fn summarization_bounds_memory_on_large_entries() {
             ..StreamOptions::default()
         };
         let out = stream(&trace, config, options, 64);
-        let (_, hb) = batch(&trace, config);
+        let (expected, hb) = batch(&trace, config);
+        assert_eq!(
+            out.races, expected,
+            "{}: window-64 races diverge",
+            entry.name
+        );
         let n = hb.graph().node_count() as u64;
         let batch_bits = 2 * n * n;
         assert!(out.stats.retired_rows > 0, "{}: nothing retired", entry.name);
@@ -177,4 +185,5 @@ fn summarization_bounds_memory_on_large_entries() {
             batch_bits
         );
     }
+    assert!(checked.contains(&"K-9 Mail"), "checked only {checked:?}");
 }
