@@ -10,9 +10,9 @@ use droidracer_core::{
     par_map, par_map_profiled, par_try_map, Analysis, AnalysisBuilder, AnalysisError, Budget,
     CategoryCounts, ItemError, QuarantineCause, Quarantined, RaceCategory,
 };
-use droidracer_obs::SpanRecord;
 use droidracer_explorer::{enumerate_sequences, ExplorerConfig};
 use droidracer_framework::{compile, App, CompileError, UiEvent};
+use droidracer_obs::SpanRecord;
 use droidracer_sim::{run, RandomScheduler, SimConfig, SimError};
 use droidracer_trace::{MemLoc, Trace, TraceStats};
 
@@ -257,7 +257,11 @@ pub fn analyze_corpus_profiled(
         if let Some(named) = child.children.first() {
             child.name = named.name.clone();
             let inner = std::mem::take(&mut child.children);
-            child.children = inner.into_iter().next().map(|s| s.children).unwrap_or_default();
+            child.children = inner
+                .into_iter()
+                .next()
+                .map(|s| s.children)
+                .unwrap_or_default();
         }
     }
     (results, span)
@@ -288,7 +292,11 @@ impl CorpusEntry {
     /// # Errors
     ///
     /// Returns [`CorpusError`] if any sequence fails to compile or simulate.
-    pub fn explore(&self, depth: usize, max_sequences: usize) -> Result<ExplorationSummary, CorpusError> {
+    pub fn explore(
+        &self,
+        depth: usize,
+        max_sequences: usize,
+    ) -> Result<ExplorationSummary, CorpusError> {
         self.explore_with_threads(depth, max_sequences, 1)
     }
 
@@ -336,17 +344,22 @@ impl CorpusEntry {
             .enumerate()
             .collect();
         type TestOutcome = Result<(bool, Vec<(MemLoc, RaceCategory)>), CorpusError>;
-        let (per_test, span) =
-            par_map_profiled(&sequences, threads, "explore", |(i, events), rec| -> TestOutcome {
+        let (per_test, span) = par_map_profiled(
+            &sequences,
+            threads,
+            "explore",
+            |(i, events), rec| -> TestOutcome {
                 rec.start("simulate");
-                let outcome = compile(&self.app, events).map_err(CorpusError::from).and_then(|c| {
-                    run(
-                        &c.program,
-                        &mut RandomScheduler::new(self.seed.wrapping_add(*i as u64)),
-                        &SimConfig { max_steps: 600_000 },
-                    )
+                let outcome = compile(&self.app, events)
                     .map_err(CorpusError::from)
-                });
+                    .and_then(|c| {
+                        run(
+                            &c.program,
+                            &mut RandomScheduler::new(self.seed.wrapping_add(*i as u64)),
+                            &SimConfig { max_steps: 600_000 },
+                        )
+                        .map_err(CorpusError::from)
+                    });
                 rec.end();
                 let result = outcome?;
                 let trace = strip_untracked(&result.trace);
@@ -364,7 +377,8 @@ impl CorpusEntry {
                     .map(|cr| (cr.race.loc, cr.category))
                     .collect();
                 Ok((!analysis.races().is_empty(), pairs))
-            });
+            },
+        );
         let mut tests = 0;
         let mut racy_tests = 0;
         let mut seen: BTreeSet<(MemLoc, RaceCategory)> = BTreeSet::new();
@@ -429,8 +443,7 @@ impl EntryReport {
             .filter_map(|cr| {
                 let field = names.field_name(cr.race.loc.field);
                 let planted = truth.get(&field)?;
-                (planted.category != cr.category)
-                    .then_some((field, planted.category, cr.category))
+                (planted.category != cr.category).then_some((field, planted.category, cr.category))
             })
             .collect()
     }

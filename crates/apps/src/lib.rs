@@ -36,7 +36,7 @@ mod strip;
 mod verify;
 
 pub use catalog::{
-    adobe_reader, aard_dictionary, browser, component_corpus, corpus, download_manager, facebook,
+    aard_dictionary, adobe_reader, browser, component_corpus, corpus, download_manager, facebook,
     fbreader, feed_fragment, flipkart, gallery_fragment, k9_mail, messenger, music_player,
     my_tracks, net_monitor, open_source_corpus, open_sudoku, remind_me, rotating_gallery,
     sgtpuzzles, sync_service, tomdroid_notes, twitter, upload_queue,

@@ -152,8 +152,10 @@ impl MotifBuilder {
                 .app
                 .handler(format!("htWork-{i}"), vec![Stmt::Write(v), Stmt::Read(v)]);
             self.on_create.push(Stmt::StartHandlerThread(ht));
-            self.on_create
-                .push(Stmt::PostToHandlerThread { handler: r, thread: ht });
+            self.on_create.push(Stmt::PostToHandlerThread {
+                handler: r,
+                thread: ht,
+            });
         }
     }
 
@@ -225,7 +227,9 @@ impl MotifBuilder {
             } else {
                 reader_body.extend(fields.iter().map(|(v, _)| Stmt::Read(*v)));
             }
-            let r = self.app.handler(format!("stateReader{suffix}"), reader_body);
+            let r = self
+                .app
+                .handler(format!("stateReader{suffix}"), reader_body);
             self.on_create.push(Stmt::ForkWorker(w));
             self.on_create.push(Stmt::Post {
                 handler: r,
@@ -253,8 +257,9 @@ impl MotifBuilder {
     /// orders both; the async-only specialization (which drops fork/join and
     /// lock rules, §4.1) reports every one of these as a false positive.
     pub fn safe_sync(&mut self, fields: usize, repeats: usize) {
-        let join_half: Vec<(Var, String)> =
-            (0..fields / 2).map(|_| self.fresh_field("safe.j.f")).collect();
+        let join_half: Vec<(Var, String)> = (0..fields / 2)
+            .map(|_| self.fresh_field("safe.j.f"))
+            .collect();
         let lock_half: Vec<(Var, String)> = (0..fields - fields / 2)
             .map(|_| self.fresh_field("safe.l.f"))
             .collect();
@@ -574,7 +579,11 @@ impl MotifBuilder {
             let tag = if hidden { "svc.fp.f" } else { "svc.f" };
             let fields: Vec<(Var, String)> = (0..n).map(|_| self.fresh_field(tag)).collect();
             let writes: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Write(*v)).collect();
-            let prefix = if hidden { "untracked:svc-loader" } else { "svc-loader" };
+            let prefix = if hidden {
+                "untracked:svc-loader"
+            } else {
+                "svc-loader"
+            };
             let suffix = if hidden { "Hidden" } else { "" };
             let w = self.app.worker(format!("{prefix}{suffix}"), writes);
             let mut start_body = Vec::new();
@@ -618,7 +627,11 @@ impl MotifBuilder {
             let tag = if hidden { "svcstop.fp.f" } else { "svcstop.f" };
             let fields: Vec<(Var, String)> = (0..n).map(|_| self.fresh_field(tag)).collect();
             let writes: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Write(*v)).collect();
-            let prefix = if hidden { "untracked:svc-sync" } else { "svc-sync" };
+            let prefix = if hidden {
+                "untracked:svc-sync"
+            } else {
+                "svc-sync"
+            };
             let suffix = if hidden { "Hidden" } else { "" };
             let publish = self.app.handler(format!("syncPublish{suffix}"), writes);
             let w = self.app.worker(
@@ -642,7 +655,9 @@ impl MotifBuilder {
                 stop_body.push(Stmt::JoinWorker(w));
             }
             stop_body.push(Stmt::StopService(svc));
-            let stop = self.app.button(self.act, format!("stopSync{suffix}"), stop_body);
+            let stop = self
+                .app
+                .button(self.act, format!("stopSync{suffix}"), stop_body);
             self.events.push(UiEvent::Widget(stop, UiEventKind::Click));
             for (_, name) in fields {
                 self.record(
@@ -673,7 +688,11 @@ impl MotifBuilder {
             let tag = if hidden { "frag.fp.f" } else { "frag.f" };
             let fields: Vec<(Var, String)> = (0..n).map(|_| self.fresh_field(tag)).collect();
             let reads: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Read(*v)).collect();
-            let prefix = if hidden { "untracked:frag-loader" } else { "frag-loader" };
+            let prefix = if hidden {
+                "untracked:frag-loader"
+            } else {
+                "frag-loader"
+            };
             let suffix = if hidden { "Hidden" } else { "" };
             let w = self.app.worker(format!("{prefix}{suffix}"), reads);
             let mut destroy_view = Vec::new();
@@ -718,7 +737,8 @@ impl MotifBuilder {
                 (0..n_true).map(|_| self.fresh_field("fragui.f")).collect();
             let reads: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Read(*v)).collect();
             let toolbar = self.app.button(self.act, "openToolbar", reads);
-            self.events.push(UiEvent::Widget(toolbar, UiEventKind::Click));
+            self.events
+                .push(UiEvent::Widget(toolbar, UiEventKind::Click));
             self.app.fragment(
                 self.act,
                 "ToolbarFragment",
@@ -738,16 +758,24 @@ impl MotifBuilder {
             }
         }
         if n_false > 0 {
-            let fields: Vec<(Var, String)> =
-                (0..n_false).map(|_| self.fresh_field("fragui.fp.f")).collect();
+            let fields: Vec<(Var, String)> = (0..n_false)
+                .map(|_| self.fresh_field("fragui.fp.f"))
+                .collect();
             let reads: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Read(*v)).collect();
             let dialog = self.app.button(self.act, "untracked:fragDialogOk", reads);
             self.app.initially_disabled(dialog);
             let mut attach: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Write(*v)).collect();
             attach.push(Stmt::EnableWidget(dialog, UiEventKind::Click));
-            self.app
-                .fragment(self.act, "FeedFragmentHidden", attach, vec![], vec![], vec![]);
-            self.events.push(UiEvent::Widget(dialog, UiEventKind::Click));
+            self.app.fragment(
+                self.act,
+                "FeedFragmentHidden",
+                attach,
+                vec![],
+                vec![],
+                vec![],
+            );
+            self.events
+                .push(UiEvent::Widget(dialog, UiEventKind::Click));
             for (_, name) in fields {
                 self.record(
                     name,
@@ -818,7 +846,9 @@ impl MotifBuilder {
     /// the fields carry no ground truth and any report shows up as an
     /// unplanned race in the oracle suite.
     pub fn serial_executor_handoff(&mut self, fields: usize) {
-        let vars: Vec<(Var, String)> = (0..fields).map(|_| self.fresh_field("isvc.safe.f")).collect();
+        let vars: Vec<(Var, String)> = (0..fields)
+            .map(|_| self.fresh_field("isvc.safe.f"))
+            .collect();
         let body: Vec<Stmt> = vars.iter().map(|(v, _)| Stmt::Write(*v)).collect();
         let isvc = self.app.intent_service("LogWriter", body);
         self.on_create.push(Stmt::StartIntentService(isvc));
@@ -895,7 +925,8 @@ impl MotifBuilder {
                 "refreshStatus",
                 fields.iter().map(|(v, _)| Stmt::Read(*v)).collect(),
             );
-            self.events.push(UiEvent::Widget(refresh, UiEventKind::Click));
+            self.events
+                .push(UiEvent::Widget(refresh, UiEventKind::Click));
             for (_, name) in fields {
                 self.record(
                     name,
@@ -906,8 +937,9 @@ impl MotifBuilder {
             }
         }
         if n_false > 0 {
-            let fields: Vec<(Var, String)> =
-                (0..n_false).map(|_| self.fresh_field("bcui.fp.f")).collect();
+            let fields: Vec<(Var, String)> = (0..n_false)
+                .map(|_| self.fresh_field("bcui.fp.f"))
+                .collect();
             let alert = self.app.button(
                 self.act,
                 "untracked:alertOk",
@@ -917,7 +949,9 @@ impl MotifBuilder {
             let mut receive: Vec<Stmt> = fields.iter().map(|(v, _)| Stmt::Write(*v)).collect();
             receive.push(Stmt::EnableWidget(alert, UiEventKind::Click));
             let rec = self.app.receiver("AlertReceiver", receive);
-            let beacon = self.app.worker("alert-beacon", vec![Stmt::SendBroadcast(rec)]);
+            let beacon = self
+                .app
+                .worker("alert-beacon", vec![Stmt::SendBroadcast(rec)]);
             self.on_create.push(Stmt::ForkWorker(beacon));
             self.events.push(UiEvent::Widget(alert, UiEventKind::Click));
             for (_, name) in fields {

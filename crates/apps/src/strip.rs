@@ -30,9 +30,8 @@ pub const UNTRACKED_PREFIX: &str = "untracked:";
 /// without their synchronization context.
 pub fn strip_untracked(trace: &Trace) -> Trace {
     let names = trace.names();
-    let untracked_thread = |t: droidracer_trace::ThreadId| {
-        names.thread_name(t).starts_with(UNTRACKED_PREFIX)
-    };
+    let untracked_thread =
+        |t: droidracer_trace::ThreadId| names.thread_name(t).starts_with(UNTRACKED_PREFIX);
     let ops = trace
         .ops()
         .iter()

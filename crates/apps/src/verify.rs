@@ -69,7 +69,10 @@ fn find_site(trace: &Trace, field: &str, site: &Site) -> Option<usize> {
         trace.names().field_name(loc.field) == field
             && op.kind.is_write() == site.is_write
             && base_name(&trace.names().thread_name(op.thread)) == site.thread
-            && index.task_of(i).map(|t| base_name(&trace.names().task_name(t))) == site.task
+            && index
+                .task_of(i)
+                .map(|t| base_name(&trace.names().task_name(t)))
+                == site.task
     })
 }
 
@@ -99,13 +102,11 @@ pub fn verify_race(
 ) -> Result<VerifyOutcome, CorpusError> {
     let baseline = entry.generate_trace()?;
     let analysis = AnalysisBuilder::new().analyze(&baseline).unwrap();
-    let Some(race) = analysis.representatives().into_iter().find(|cr| {
-        analysis
-            .trace()
-            .names()
-            .field_name(cr.race.loc.field)
-            == field
-    }) else {
+    let Some(race) = analysis
+        .representatives()
+        .into_iter()
+        .find(|cr| analysis.trace().names().field_name(cr.race.loc.field) == field)
+    else {
         return Ok(VerifyOutcome::NoSuchRace);
     };
     let site_a = site_of(analysis.trace(), race.race.first);
@@ -172,8 +173,8 @@ pub fn verify_race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::motifs::MotifBuilder;
     use crate::corpus::{CorpusEntry, PaperRow};
+    use crate::motifs::MotifBuilder;
 
     fn entry_from(m: MotifBuilder, seed: u64) -> CorpusEntry {
         let (app, events, truth) = m.finish();

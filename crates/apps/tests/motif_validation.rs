@@ -2,7 +2,9 @@
 //! the planted races, classifies them into the intended category, and the
 //! reordering-based verifier agrees with the planted true/false annotation.
 
-use droidracer_apps::{verify_race, CorpusEntry, MotifBuilder, PaperRow, RaceCategory, VerifyOutcome};
+use droidracer_apps::{
+    verify_race, CorpusEntry, MotifBuilder, PaperRow, RaceCategory, VerifyOutcome,
+};
 use droidracer_core::{Analysis, AnalysisBuilder};
 
 fn entry(m: MotifBuilder) -> CorpusEntry {
@@ -148,7 +150,10 @@ fn safe_sync_motif_trips_the_async_only_baseline() {
     m.safe_sync(6, 4);
     let e = entry(m);
     let trace = e.generate_trace().expect("runs");
-    let baseline = AnalysisBuilder::new().mode(HbMode::AsyncOnly).analyze(&trace).unwrap();
+    let baseline = AnalysisBuilder::new()
+        .mode(HbMode::AsyncOnly)
+        .analyze(&trace)
+        .unwrap();
     assert_eq!(
         baseline.representatives().len(),
         6,
@@ -163,8 +168,18 @@ fn cross_posted_true_races_vanish_under_naive_combination() {
     m.cross_posted_races(3, 0);
     let e = entry(m);
     let trace = e.generate_trace().expect("runs");
-    assert_eq!(AnalysisBuilder::new().analyze(&trace).unwrap().representatives().len(), 3);
-    let naive = AnalysisBuilder::new().mode(HbMode::NaiveCombined).analyze(&trace).unwrap();
+    assert_eq!(
+        AnalysisBuilder::new()
+            .analyze(&trace)
+            .unwrap()
+            .representatives()
+            .len(),
+        3
+    );
+    let naive = AnalysisBuilder::new()
+        .mode(HbMode::NaiveCombined)
+        .analyze(&trace)
+        .unwrap();
     assert_eq!(
         naive.representatives().len(),
         0,
@@ -184,9 +199,7 @@ fn lifecycle_flag_motif_reproduces_figure_4() {
     let on_flag: Vec<_> = analysis
         .representatives()
         .into_iter()
-        .filter(|cr| {
-            analysis.trace().names().field_name(cr.race.loc.field) == field
-        })
+        .filter(|cr| analysis.trace().names().field_name(cr.race.loc.field) == field)
         .collect();
     assert!(!on_flag.is_empty(), "{}", analysis.render());
     for cr in on_flag {

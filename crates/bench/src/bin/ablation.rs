@@ -68,7 +68,9 @@ fn main() {
     println!("{}", table.render());
     println!("Expected shape (paper §4.1, §7):");
     println!("  mt-only reports no single-threaded races (measured single-threaded under mt-only: {mt_only_single_threaded})");
-    println!("  async-only ≥ droidracer (cross-thread synchronization invisible → false positives)");
+    println!(
+        "  async-only ≥ droidracer (cross-thread synchronization invisible → false positives)"
+    );
     println!("  naive-combined ≤ droidracer (spurious same-thread lock orderings suppress races)");
     println!("  events-as-threads ≥ droidracer (FIFO and run-to-completion orderings lost)");
     println!("  vector-clock agrees with mt-only on racy locations (cross-checked in tests)");

@@ -62,7 +62,12 @@ fn main() {
         max_steps: 20_000,
         max_schedules: 100_000,
     };
-    let mut table = TextTable::new(["Program", "Naive schedules", "Sleep-set schedules", "Pruned"]);
+    let mut table = TextTable::new([
+        "Program",
+        "Naive schedules",
+        "Sleep-set schedules",
+        "Pruned",
+    ]);
     println!("Stateless model checking: exhaustive DFS vs sleep-set reduction\n");
     let programs: Vec<(String, Program)> = vec![
         ("2 independent writers".into(), independent(2)),

@@ -19,7 +19,7 @@
 use droidracer_core::{Analysis, AnalysisBuilder, RaceCategory};
 use droidracer_framework::{compile, AppBuilder, Stmt, UiEvent, UiEventKind};
 use droidracer_sim::{run, RandomScheduler, SimConfig};
-use droidracer_trace::{ThreadKind, Trace, TraceBuilder, validate};
+use droidracer_trace::{validate, ThreadKind, Trace, TraceBuilder};
 
 /// Builds the trace of Figure 3 (PLAY pressed) or Figure 4 (BACK pressed).
 ///
@@ -41,7 +41,7 @@ fn paper_trace(back: bool) -> Trace {
     b.attach_q(t1); // 2
     b.loop_on_q(t1); // 3
     b.enable(t1, launch); // 4
-    // The binder thread must be running to post (implicit in the paper).
+                          // The binder thread must be running to post (implicit in the paper).
     b.thread_init(t0);
     b.post(t0, launch, t1); // 5
     b.begin(t1, launch); // 6
@@ -78,18 +78,18 @@ fn check(analysis: &Analysis, label: &str, i: usize, j: usize) {
     let adj = |n: usize| if n >= 5 { n } else { n - 1 };
     let (a, b) = (adj(i), adj(j));
     let ordered = analysis.hb().ordered(a, b);
-    let race = analysis
-        .races()
-        .iter()
-        .find(|cr| {
-            (cr.race.first == a && cr.race.second == b)
-                || (cr.race.first == b && cr.race.second == a)
-        });
+    let race = analysis.races().iter().find(|cr| {
+        (cr.race.first == a && cr.race.second == b) || (cr.race.first == b && cr.race.second == a)
+    });
     match race {
         Some(cr) => println!("  ops ({i},{j}) {label}: RACE [{}]", cr.category),
         None => println!(
             "  ops ({i},{j}) {label}: {}",
-            if ordered { "ordered (no race)" } else { "no report" }
+            if ordered {
+                "ordered (no race)"
+            } else {
+                "no report"
+            }
         ),
     }
 }

@@ -82,9 +82,9 @@ fn main() {
         engine_stats_table(stats_rows.iter().map(|&(n, s)| (n, s))).render()
     );
     let avg = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-    let (lo, hi) = ratios.iter().fold((f64::MAX, 0.0f64), |(lo, hi), &r| {
-        (lo.min(r), hi.max(r))
-    });
+    let (lo, hi) = ratios
+        .iter()
+        .fold((f64::MAX, 0.0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
     println!(
         "Node reduction: {:.1}%–{:.1}%, avg {:.1}%   (paper: 1.4%–24.8%, avg 11.1%)\n",
         lo * 100.0,

@@ -78,10 +78,16 @@ fn main() {
     let repeats = 3;
     // Sequential baseline: the plain per-trace loop, no pool at all.
     let mut baseline = f64::MAX;
-    let mut reference: Vec<Analysis> = traces.iter().map(|t| AnalysisBuilder::new().analyze(t).unwrap()).collect();
+    let mut reference: Vec<Analysis> = traces
+        .iter()
+        .map(|t| AnalysisBuilder::new().analyze(t).unwrap())
+        .collect();
     for _ in 0..repeats {
         let start = Instant::now();
-        reference = traces.iter().map(|t| AnalysisBuilder::new().analyze(t).unwrap()).collect();
+        reference = traces
+            .iter()
+            .map(|t| AnalysisBuilder::new().analyze(t).unwrap())
+            .collect();
         baseline = baseline.min(start.elapsed().as_secs_f64());
     }
 
@@ -220,7 +226,11 @@ fn export_component_word_ops(registry: &mut MetricsRegistry) {
 /// measured value so CI jitter cannot trip it, while an order-of-magnitude
 /// kernel regression still fails the perf-guard step. The ceiling is
 /// edited by hand; `BLESS=1` does not touch it.
-fn export_closure_latency(names: &[&'static str], traces: &[Trace], registry: &mut MetricsRegistry) {
+fn export_closure_latency(
+    names: &[&'static str],
+    traces: &[Trace],
+    registry: &mut MetricsRegistry,
+) {
     let k9 = names
         .iter()
         .position(|n| *n == "K-9 Mail")

@@ -47,7 +47,8 @@ impl TextTable {
 
     /// Appends a row.
     pub fn row<S: Display>(&mut self, cells: impl IntoIterator<Item = S>) {
-        self.rows.push(cells.into_iter().map(|s| s.to_string()).collect());
+        self.rows
+            .push(cells.into_iter().map(|s| s.to_string()).collect());
     }
 
     /// Appends a horizontal rule (rendered as dashes).

@@ -250,10 +250,18 @@ impl BitMatrix {
 
 impl fmt::Debug for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "BitMatrix({}x{}, {} bits set)", self.n, self.n, self.count_ones())?;
+        writeln!(
+            f,
+            "BitMatrix({}x{}, {} bits set)",
+            self.n,
+            self.n,
+            self.count_ones()
+        )?;
         if self.n <= 32 {
             for i in 0..self.n {
-                let row: String = (0..self.n).map(|j| if self.get(i, j) { '1' } else { '.' }).collect();
+                let row: String = (0..self.n)
+                    .map(|j| if self.get(i, j) { '1' } else { '.' })
+                    .collect();
                 writeln!(f, "  {i:>3} {row}")?;
             }
         }
@@ -448,7 +456,11 @@ mod tests {
         let touched = mt.or_union_masked_into(5, &st, mask.words(), 2, |b| new_bits.push(b));
         assert!(touched >= 2, "words touched spans both source rows");
         new_bits.sort_unstable();
-        assert_eq!(new_bits, vec![70, 128], "7 masked out, 5 already set? no: 5 is dst bit");
+        assert_eq!(
+            new_bits,
+            vec![70, 128],
+            "7 masked out, 5 already set? no: 5 is dst bit"
+        );
         assert!(mt.get(2, 70) && mt.get(2, 128));
         assert!(!mt.get(2, 7), "masked bit stays clear");
         // Re-running adds nothing.

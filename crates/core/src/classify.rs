@@ -65,7 +65,12 @@ impl fmt::Display for RaceCategory {
 }
 
 /// Classifies `race` according to §4.3.
-pub fn classify(trace: &Trace, index: &TraceIndex, hb: &HappensBefore, race: &Race) -> RaceCategory {
+pub fn classify(
+    trace: &Trace,
+    index: &TraceIndex,
+    hb: &HappensBefore,
+    race: &Race,
+) -> RaceCategory {
     classify_with(trace.ops(), index, |a, b| hb.ordered(a, b), race)
 }
 
@@ -88,9 +93,11 @@ pub(crate) fn classify_with(
 
     // Co-enabled: most recent posts for environmental events.
     let env_post = |chain: &[usize]| {
-        chain.iter().rev().copied().find(|&p| {
-            matches!(ops[p].kind, OpKind::Post { event: Some(_), .. })
-        })
+        chain
+            .iter()
+            .rev()
+            .copied()
+            .find(|&p| matches!(ops[p].kind, OpKind::Post { event: Some(_), .. }))
     };
     if let (Some(bi), Some(bj)) = (env_post(&chain_i), env_post(&chain_j)) {
         if bi != bj && !ordered(bi, bj) {
@@ -100,9 +107,11 @@ pub(crate) fn classify_with(
 
     // Delayed: most recent delayed posts.
     let delayed_post = |chain: &[usize]| {
-        chain.iter().rev().copied().find(|&p| {
-            matches!(ops[p].kind, OpKind::Post { kind, .. } if kind.is_delayed())
-        })
+        chain
+            .iter()
+            .rev()
+            .copied()
+            .find(|&p| matches!(ops[p].kind, OpKind::Post { kind, .. } if kind.is_delayed()))
     };
     let (di, dj) = (delayed_post(&chain_i), delayed_post(&chain_j));
     match (di, dj) {
@@ -113,9 +122,8 @@ pub(crate) fn classify_with(
 
     // Cross-posted: most recent posts executing on another thread than the
     // access's own thread.
-    let cross_post = |chain: &[usize], own| {
-        chain.iter().rev().copied().find(|&p| ops[p].thread != own)
-    };
+    let cross_post =
+        |chain: &[usize], own| chain.iter().rev().copied().find(|&p| ops[p].thread != own);
     let (ci, cj) = (
         cross_post(&chain_i, ops[i].thread),
         cross_post(&chain_j, ops[j].thread),
@@ -154,7 +162,10 @@ mod tests {
         b.thread_init(bg);
         b.write(bg, loc);
         b.read(main, loc);
-        assert_eq!(classify_single_race(&b.finish_validated().expect("feasible trace")), RaceCategory::Multithreaded);
+        assert_eq!(
+            classify_single_race(&b.finish_validated().expect("feasible trace")),
+            RaceCategory::Multithreaded
+        );
     }
 
     #[test]
@@ -182,7 +193,10 @@ mod tests {
         // The two posts are made outside any task on the looping thread, so
         // they are unordered; the handler tasks race and the most recent env
         // posts (3, 4) are unordered → co-enabled.
-        assert_eq!(classify_single_race(&b.finish_validated().expect("feasible trace")), RaceCategory::CoEnabled);
+        assert_eq!(
+            classify_single_race(&b.finish_validated().expect("feasible trace")),
+            RaceCategory::CoEnabled
+        );
     }
 
     #[test]
@@ -205,7 +219,10 @@ mod tests {
         b.begin(main, slow);
         b.write(main, loc);
         b.end(main, slow);
-        assert_eq!(classify_single_race(&b.finish_validated().expect("feasible trace")), RaceCategory::Delayed);
+        assert_eq!(
+            classify_single_race(&b.finish_validated().expect("feasible trace")),
+            RaceCategory::Delayed
+        );
     }
 
     #[test]
@@ -230,7 +247,10 @@ mod tests {
         b.begin(main, t2);
         b.write(main, loc);
         b.end(main, t2);
-        assert_eq!(classify_single_race(&b.finish_validated().expect("feasible trace")), RaceCategory::CrossPosted);
+        assert_eq!(
+            classify_single_race(&b.finish_validated().expect("feasible trace")),
+            RaceCategory::CrossPosted
+        );
     }
 
     #[test]
@@ -255,7 +275,10 @@ mod tests {
         b.begin(main, t2);
         b.write(main, loc);
         b.end(main, t2);
-        assert_eq!(classify_single_race(&b.finish_validated().expect("feasible trace")), RaceCategory::Unknown);
+        assert_eq!(
+            classify_single_race(&b.finish_validated().expect("feasible trace")),
+            RaceCategory::Unknown
+        );
     }
 
     #[test]

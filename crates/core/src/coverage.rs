@@ -65,9 +65,7 @@ pub fn race_coverage(analysis: &Analysis) -> CoverageReport {
             }
         }
     }
-    let is_covered = |b: usize| {
-        (0..n).any(|a| a != b && covers[a][b] && (!covers[b][a] || a < b))
-    };
+    let is_covered = |b: usize| (0..n).any(|a| a != b && covers[a][b] && (!covers[b][a] || a < b));
     let mut roots = Vec::new();
     let mut root_index = vec![None; n];
     for (b, cr) in reps.iter().enumerate() {

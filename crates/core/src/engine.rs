@@ -203,8 +203,16 @@ impl HappensBefore {
         config: HbConfig,
     ) -> Self {
         // invariant: an unlimited budget never exhausts.
-        Self::close_over(trace, index, config, &[], false, graph, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
+        Self::close_over(
+            trace,
+            index,
+            config,
+            &[],
+            false,
+            graph,
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget cannot exhaust")
     }
 
     /// Like [`HappensBefore::compute_on_graph`] but under a resource
@@ -258,7 +266,11 @@ impl HappensBefore {
         // generators' coverage rows count toward the same cap.
         let poll = Poll::new(budget);
         let n = graph.node_count() as u64;
-        let matrices: u64 = if config.rules.restricted_transitivity { 2 } else { 1 };
+        let matrices: u64 = if config.rules.restricted_transitivity {
+            2
+        } else {
+            1
+        };
         let generators = if reference {
             Generators::default()
         } else {
@@ -578,7 +590,12 @@ impl<'a> EngineState<'a> {
 
     /// ENABLE-ST/MT, POST-ST/MT, ATTACH-Q-MT.
     fn add_task_edges(&mut self) {
-        type TaskEdgeSites = (Option<usize>, Option<usize>, Option<usize>, Option<ThreadId>);
+        type TaskEdgeSites = (
+            Option<usize>,
+            Option<usize>,
+            Option<usize>,
+            Option<ThreadId>,
+        );
         let tasks: Vec<TaskEdgeSites> = self
             .index
             .tasks()
@@ -1151,7 +1168,10 @@ mod tests {
         let trace = b.finish();
         let hb = hb(&trace);
         assert!(hb.ordered(4, 5));
-        assert!(hb.ordered(3, 6), "write ≺ read through lock + program order");
+        assert!(
+            hb.ordered(3, 6),
+            "write ≺ read through lock + program order"
+        );
         assert!(!hb.ordered(1, 0));
     }
 
@@ -1674,14 +1694,22 @@ mod tests {
     /// generator edges the sweep leaves to TRANS-ST move from
     /// `fifo_fired`/`nopre_fired` to `trans_st_edges`, never the other way.
     fn assert_matches_reference(inc: &HappensBefore, rf: &HappensBefore, context: &str) {
-        assert_eq!(inc.relation_matrices(), rf.relation_matrices(), "{context}: matrices");
+        assert_eq!(
+            inc.relation_matrices(),
+            rf.relation_matrices(),
+            "{context}: matrices"
+        );
         let (i, r) = (inc.stats(), rf.stats());
         assert_eq!(
             (i.base_edges, i.trans_mt_edges, i.rounds),
             (r.base_edges, r.trans_mt_edges, r.rounds),
             "{context}: base edges, TRANS-MT edges, rounds"
         );
-        assert_eq!(inc.ordered_pairs(), rf.ordered_pairs(), "{context}: relation size");
+        assert_eq!(
+            inc.ordered_pairs(),
+            rf.ordered_pairs(),
+            "{context}: relation size"
+        );
         assert_eq!(
             i.fifo_fired + i.nopre_fired + i.trans_st_edges,
             r.fifo_fired + r.nopre_fired + r.trans_st_edges,
@@ -1804,7 +1832,10 @@ mod tests {
             rf.stats().word_ops
         );
         assert!(inc.stats().skipped_words > 0);
-        assert!(inc.stats().worklist_pops > 0, "later rounds used the worklist");
+        assert!(
+            inc.stats().worklist_pops > 0,
+            "later rounds used the worklist"
+        );
     }
 
     /// On a looper whose 40 tasks run in posting order, FIFO holds for all
@@ -2008,7 +2039,10 @@ mod budget_tests {
         )
         .expect_err("tiny op cap must trip");
         assert_eq!(err.reason, BudgetReason::OpCap);
-        assert!(err.ops_processed > 8, "cutoff past the cap by at most one poll");
+        assert!(
+            err.ops_processed > 8,
+            "cutoff past the cap by at most one poll"
+        );
         assert!(
             err.partial.word_ops == err.ops_processed && err.partial.rows_recomputed > 0,
             "partial stats reflect work done: {:?}",
@@ -2054,14 +2088,19 @@ mod budget_tests {
         assert_eq!(err.partial, EngineStats::default());
         // The exact footprint — two matrices plus the coverage rows —
         // admits the same result as the unbudgeted run.
-        let n = HappensBefore::compute(&trace, HbConfig::new()).graph().node_count() as u64;
+        let n = HappensBefore::compute(&trace, HbConfig::new())
+            .graph()
+            .node_count() as u64;
         let ok = compute_budgeted(
             &trace,
             HbConfig::new(),
             &Budget::unlimited().with_max_matrix_bits(2 * n * n + busy_trace_coverage_bits()),
         )
         .expect("exact cap admits the run");
-        assert_eq!(ok.stats(), HappensBefore::compute(&trace, HbConfig::new()).stats());
+        assert_eq!(
+            ok.stats(),
+            HappensBefore::compute(&trace, HbConfig::new()).stats()
+        );
     }
 
     /// The coverage rows of `busy_trace`: its 24 tasks run on main, and
@@ -2101,8 +2140,7 @@ mod budget_tests {
         let trace = busy_trace();
         let index = trace.index();
         let config = HbConfig::new();
-        let graph =
-            crate::graph::HbGraph::build(&trace, &index, config.merge_accesses);
+        let graph = crate::graph::HbGraph::build(&trace, &index, config.merge_accesses);
         // The reference saturator goes through the same close_over path only
         // via compute_reference (unlimited); exercise the budgeted worklist
         // path on a prebuilt graph instead.
@@ -2136,9 +2174,8 @@ mod budget_tests {
         .expect_err("expired deadline must trip");
         assert_eq!(err.reason, BudgetReason::Deadline);
         let vc_full = crate::vc::detect_multithreaded(&trace);
-        let vc_budgeted =
-            crate::vc::detect_multithreaded_budgeted(&trace, &Budget::unlimited())
-                .expect("unlimited budget cannot exhaust");
+        let vc_budgeted = crate::vc::detect_multithreaded_budgeted(&trace, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust");
         assert_eq!(vc_budgeted, vc_full);
         let err =
             crate::vc::detect_multithreaded_budgeted(&trace, &Budget::unlimited().with_max_ops(3))

@@ -24,12 +24,7 @@ pub fn explain(analysis: &Analysis, race: &Race) -> String {
     let names = trace.names();
     let index = trace.index();
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "race on {} ({}):",
-        names.loc_name(race.loc),
-        race.kind
-    );
+    let _ = writeln!(out, "race on {} ({}):", names.loc_name(race.loc), race.kind);
     for (label, op_idx) in [("first ", race.first), ("second", race.second)] {
         let op = trace.op(op_idx);
         let task = index
@@ -122,7 +117,8 @@ pub fn to_dot(analysis: &Analysis) -> String {
     let hb = analysis.hb();
     let graph = hb.graph();
     let n = graph.node_count();
-    let mut out = String::from("digraph happens_before {\n  rankdir=TB;\n  node [shape=box, fontsize=9];\n");
+    let mut out =
+        String::from("digraph happens_before {\n  rankdir=TB;\n  node [shape=box, fontsize=9];\n");
     // Cluster per thread.
     let mut threads: Vec<droidracer_trace::ThreadId> = graph
         .nodes()
@@ -156,18 +152,14 @@ pub fn to_dot(analysis: &Analysis) -> String {
             if !hb.ordered_nodes(a, b) {
                 continue;
             }
-            let covered =
-                (a + 1..b).any(|c| hb.ordered_nodes(a, c) && hb.ordered_nodes(c, b));
+            let covered = (a + 1..b).any(|c| hb.ordered_nodes(a, c) && hb.ordered_nodes(c, b));
             if !covered {
                 let _ = writeln!(out, "  n{a} -> n{b};");
             }
         }
     }
     for cr in analysis.races() {
-        let (na, nb) = (
-            graph.node_of(cr.race.first),
-            graph.node_of(cr.race.second),
-        );
+        let (na, nb) = (graph.node_of(cr.race.first), graph.node_of(cr.race.second));
         let _ = writeln!(
             out,
             "  n{na} -> n{nb} [dir=none, style=dashed, color=red, label=\"{}\"];",

@@ -264,10 +264,26 @@ mod tests {
     fn epoch_comparison() {
         let mut c = VectorClock::new(2);
         c.set(ThreadId(0), 3);
-        assert!(Epoch { thread: ThreadId(0), clock: 3 }.le(&c));
-        assert!(Epoch { thread: ThreadId(0), clock: 2 }.le(&c));
-        assert!(!Epoch { thread: ThreadId(0), clock: 4 }.le(&c));
-        assert!(!Epoch { thread: ThreadId(1), clock: 1 }.le(&c));
+        assert!(Epoch {
+            thread: ThreadId(0),
+            clock: 3
+        }
+        .le(&c));
+        assert!(Epoch {
+            thread: ThreadId(0),
+            clock: 2
+        }
+        .le(&c));
+        assert!(!Epoch {
+            thread: ThreadId(0),
+            clock: 4
+        }
+        .le(&c));
+        assert!(!Epoch {
+            thread: ThreadId(1),
+            clock: 1
+        }
+        .le(&c));
     }
 
     #[test]

@@ -223,7 +223,9 @@ where
         (result, rec.finish_root())
     });
     let mut parent = SpanRecord::leaf(label);
-    parent.counters.push(("items".to_owned(), items.len() as u64));
+    parent
+        .counters
+        .push(("items".to_owned(), items.len() as u64));
     let mut results = Vec::with_capacity(profiled.len());
     for (i, (result, mut span)) in profiled.into_iter().enumerate() {
         span.name = format!("{label}[{i}]");
@@ -424,7 +426,10 @@ mod tests {
         assert_eq!(effective_workers(0, 8), 1);
         assert_eq!(effective_workers(SPAWN_MIN_ITEMS - 1, 8), 1);
         // At/above threshold: capped at the item count.
-        assert_eq!(effective_workers(SPAWN_MIN_ITEMS, 8), SPAWN_MIN_ITEMS.min(8));
+        assert_eq!(
+            effective_workers(SPAWN_MIN_ITEMS, 8),
+            SPAWN_MIN_ITEMS.min(8)
+        );
         assert_eq!(effective_workers(3, 16), 3);
         assert_eq!(effective_workers(100, 8), 8);
     }

@@ -378,7 +378,10 @@ mod tests {
     fn baseline_mode_analysis_runs() {
         let trace = racy_trace();
         for mode in HbMode::all() {
-            let analysis = AnalysisBuilder::new().mode(mode).analyze(&trace).expect("runs");
+            let analysis = AnalysisBuilder::new()
+                .mode(mode)
+                .analyze(&trace)
+                .expect("runs");
             // The mt race is visible to every mode that has fork edges; the
             // async-only baseline misses fork and reports it too (as a
             // "race") — either way analysis must not crash.

@@ -223,7 +223,11 @@ pub struct Quarantined {
 
 impl fmt::Display for Quarantined {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "quarantined `{}` [{}]: {}", self.input, self.cause, self.payload)
+        write!(
+            f,
+            "quarantined `{}` [{}]: {}",
+            self.input, self.cause, self.payload
+        )
     }
 }
 
@@ -239,7 +243,9 @@ mod tests {
 
     #[test]
     fn builders_set_limits() {
-        let b = Budget::unlimited().with_max_ops(10).with_max_matrix_bits(1 << 20);
+        let b = Budget::unlimited()
+            .with_max_ops(10)
+            .with_max_matrix_bits(1 << 20);
         assert!(b.is_limited());
         assert_eq!(b.max_ops, Some(10));
         assert_eq!(b.max_matrix_bits, Some(1 << 20));
@@ -262,6 +268,9 @@ mod tests {
             payload: "boom".into(),
         };
         let s = q.to_string();
-        assert!(s.contains("App") && s.contains("panic") && s.contains("boom"), "{s}");
+        assert!(
+            s.contains("App") && s.contains("panic") && s.contains("boom"),
+            "{s}"
+        );
     }
 }

@@ -58,8 +58,8 @@ use droidracer_trace::{from_text, from_text_lenient, Names, Trace};
 use crate::classify::RaceCategory;
 use crate::race::RaceKind;
 use crate::report::{representatives_of, Analysis, CategoryCounts};
-use crate::rules::HbMode;
 use crate::robust::Budget;
+use crate::rules::HbMode;
 use crate::session::{AnalysisBuilder, AnalysisError};
 use crate::stream::StreamOutcome;
 
@@ -139,7 +139,11 @@ impl JobSpec {
         format!(
             "v1:{}:{}:{}{}:ops={}:bits={}:dl={}",
             self.mode.label(),
-            if self.merge_accesses { "merge" } else { "no-merge" },
+            if self.merge_accesses {
+                "merge"
+            } else {
+                "no-merge"
+            },
             if self.validate { "validate+" } else { "" },
             if self.lenient { "lenient" } else { "strict" },
             opt(self.max_ops),
@@ -169,7 +173,10 @@ impl JobSpec {
         }
         let parts: Vec<&str> = token.split(':').collect();
         let [version, mode, merge, parse, ops, bits, dl] = parts.as_slice() else {
-            return Err(format!("expected 7 `:`-separated fields, got {}", parts.len()));
+            return Err(format!(
+                "expected 7 `:`-separated fields, got {}",
+                parts.len()
+            ));
         };
         if *version != "v1" {
             return Err(format!("unknown spec version `{version}`"));
@@ -381,7 +388,11 @@ impl JobReport {
             self.stats.ops,
             self.stats.word_ops,
             self.stats.block_pairs,
-            if self.stats.streamed { " (streamed)" } else { "" },
+            if self.stats.streamed {
+                " (streamed)"
+            } else {
+                ""
+            },
         );
         out.push_str(&format!(
             "{} representative race(s): {}\n",
@@ -584,8 +595,12 @@ fn parse_race(tok: &str) -> Result<ReportedRace, String> {
         kind: kind_from_label(kind).ok_or_else(|| format!("bad race kind `{kind}`"))?,
         category: category_from_label(category)
             .ok_or_else(|| format!("bad race category `{category}`"))?,
-        first: first.parse().map_err(|_| format!("bad race index `{first}`"))?,
-        second: second.parse().map_err(|_| format!("bad race index `{second}`"))?,
+        first: first
+            .parse()
+            .map_err(|_| format!("bad race index `{first}`"))?,
+        second: second
+            .parse()
+            .map_err(|_| format!("bad race index `{second}`"))?,
     })
 }
 
@@ -593,7 +608,10 @@ fn parse_u64_list(value: &str, expect: usize) -> Result<Vec<u64>, String> {
     let ns: Result<Vec<u64>, _> = value.split(',').map(str::parse).collect();
     let ns = ns.map_err(|_| format!("bad number list `{value}`"))?;
     if ns.len() != expect {
-        return Err(format!("expected {expect} numbers, got {} in `{value}`", ns.len()));
+        return Err(format!(
+            "expected {expect} numbers, got {} in `{value}`",
+            ns.len()
+        ));
     }
     Ok(ns)
 }
@@ -668,9 +686,10 @@ impl LocalService {
     fn parse(&self, spec: &JobSpec, trace_text: &str) -> Result<(Trace, Vec<String>), JobReport> {
         if spec.lenient {
             match from_text_lenient(trace_text) {
-                Ok((trace, repairs)) => {
-                    Ok((trace, repairs.iter().map(|d| format!("repair: {d}")).collect()))
-                }
+                Ok((trace, repairs)) => Ok((
+                    trace,
+                    repairs.iter().map(|d| format!("repair: {d}")).collect(),
+                )),
                 Err(e) => Err(JobReport::aborted(ExitClass::Invalid, e.to_string())),
             }
         } else {
@@ -795,7 +814,9 @@ mod tests {
         // Validation gate: a semantically invalid trace is Invalid only
         // when the spec asks for validation.
         let bad = "droidracer-trace v1\nthread t0 main initial \"main\"\ntask p0 \"T\"\nop threadinit t0\nop begin t0 p0\n";
-        let lax = LocalService::new().submit(&JobSpec::default(), bad).unwrap();
+        let lax = LocalService::new()
+            .submit(&JobSpec::default(), bad)
+            .unwrap();
         assert_ne!(lax.exit, ExitClass::Invalid);
         let strict = JobSpec {
             validate: true,
@@ -816,7 +837,10 @@ mod tests {
             .push("weird = chars, with | and % and\nnewline".to_owned());
         let record = report.to_record();
         assert!(!record.contains('\n'), "record must be one line: {record}");
-        assert_eq!(JobReport::from_record(&record), Ok::<_, String>(report.clone()));
+        assert_eq!(
+            JobReport::from_record(&record),
+            Ok::<_, String>(report.clone())
+        );
 
         // Corrupt records fail with a reason, never a panic.
         for bad in [
@@ -836,7 +860,9 @@ mod tests {
     fn lenient_repairs_become_diagnostics() {
         let mut text = racy_text();
         text.push_str("this line is garbage\n");
-        let strict = LocalService::new().submit(&JobSpec::default(), &text).unwrap();
+        let strict = LocalService::new()
+            .submit(&JobSpec::default(), &text)
+            .unwrap();
         assert_eq!(strict.exit, ExitClass::Invalid);
         let spec = JobSpec {
             lenient: true,
@@ -844,14 +870,28 @@ mod tests {
         };
         let report = LocalService::new().submit(&spec, &text).unwrap();
         assert_eq!(report.exit, ExitClass::Races);
-        assert!(report.diagnostics.iter().any(|d| d.starts_with("repair:")), "{:?}", report.diagnostics);
+        assert!(
+            report.diagnostics.iter().any(|d| d.starts_with("repair:")),
+            "{:?}",
+            report.diagnostics
+        );
     }
 
     #[test]
     fn escape_round_trips() {
-        for s in ["", "plain", "a b,c|d=e;f%g", "caf\u{e9} \u{1F980}", "%", "%%"] {
+        for s in [
+            "",
+            "plain",
+            "a b,c|d=e;f%g",
+            "caf\u{e9} \u{1F980}",
+            "%",
+            "%%",
+        ] {
             let escaped = escape(s);
-            assert!(!escaped.contains(' ') && !escaped.contains(','), "{escaped}");
+            assert!(
+                !escaped.contains(' ') && !escaped.contains(','),
+                "{escaped}"
+            );
             assert_eq!(unescape(&escaped).as_deref(), Ok(s), "{escaped}");
         }
         assert!(unescape("%").is_err());

@@ -540,7 +540,10 @@ mod tests {
             report.metrics.counter("stream.ops"),
             Some(trace.len() as u64)
         );
-        assert_eq!(report.metrics.counter("stream.chunks"), Some(trace.len() as u64));
+        assert_eq!(
+            report.metrics.counter("stream.chunks"),
+            Some(trace.len() as u64)
+        );
         assert!(report.metrics.gauge("stream.peak_matrix_bits").is_some());
         // Both the batch analyze and the stream finish hit the sink.
         assert_eq!(sink.take().len(), 2);

@@ -228,7 +228,11 @@ pub fn count_ones(words: &[u64]) -> usize {
             lanes[l] += c[l].count_ones() as usize;
         }
     }
-    let tail: usize = chunks.remainder().iter().map(|w| w.count_ones() as usize).sum();
+    let tail: usize = chunks
+        .remainder()
+        .iter()
+        .map(|w| w.count_ones() as usize)
+        .sum();
     lanes.iter().sum::<usize>() + tail
 }
 

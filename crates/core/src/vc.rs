@@ -207,8 +207,8 @@ pub fn detect_multithreaded_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::AnalysisBuilder;
     use crate::rules::HbMode;
+    use crate::session::AnalysisBuilder;
     use droidracer_trace::{ThreadKind, TraceBuilder};
 
     #[test]
@@ -304,7 +304,14 @@ mod tests {
         let trace = b.finish();
         assert!(detect_multithreaded(&trace).is_empty());
         // …while the paper's relation reports it:
-        assert_eq!(AnalysisBuilder::new().analyze(&trace).unwrap().races().len(), 1);
+        assert_eq!(
+            AnalysisBuilder::new()
+                .analyze(&trace)
+                .unwrap()
+                .races()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -336,12 +343,14 @@ mod tests {
         let trace = b.finish();
         let vc_locs: std::collections::BTreeSet<MemLoc> =
             detect_multithreaded(&trace).iter().map(|r| r.loc).collect();
-        let graph_locs: std::collections::BTreeSet<MemLoc> =
-            AnalysisBuilder::new().mode(HbMode::MultithreadedOnly).analyze(&trace).unwrap()
-                .races()
-                .iter()
-                .map(|cr| cr.race.loc)
-                .collect();
+        let graph_locs: std::collections::BTreeSet<MemLoc> = AnalysisBuilder::new()
+            .mode(HbMode::MultithreadedOnly)
+            .analyze(&trace)
+            .unwrap()
+            .races()
+            .iter()
+            .map(|cr| cr.race.loc)
+            .collect();
         assert_eq!(vc_locs, graph_locs);
         assert!(vc_locs.contains(&racy));
         assert!(!vc_locs.contains(&safe));

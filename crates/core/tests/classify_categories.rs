@@ -20,7 +20,8 @@ fn multithreaded() -> Trace {
     b.thread_init(bg);
     b.write(bg, loc);
     b.read(main, loc);
-    b.finish_validated().expect("multithreaded trace is feasible")
+    b.finish_validated()
+        .expect("multithreaded trace is feasible")
 }
 
 /// Co-enabled: both accesses run on one thread, in handler tasks of two
@@ -95,7 +96,8 @@ fn cross_posted() -> Trace {
     b.begin(main, t2);
     b.write(main, loc);
     b.end(main, t2);
-    b.finish_validated().expect("cross-posted trace is feasible")
+    b.finish_validated()
+        .expect("cross-posted trace is feasible")
 }
 
 /// Unknown: same-thread plain posts made outside any task — neither the
@@ -141,7 +143,10 @@ fn each_category_has_a_pinned_minimal_trace() {
             .expect("fixtures validate");
         let reps = analysis.representatives();
         assert_eq!(reps.len(), 1, "{category}: expected one representative");
-        assert_eq!(reps[0].category, category, "{category} fixture misclassified");
+        assert_eq!(
+            reps[0].category, category,
+            "{category} fixture misclassified"
+        );
         let mut expected = CategoryCounts::default();
         expected.add(category, 1);
         assert_eq!(analysis.counts(), expected, "{category}: partition totals");
@@ -155,8 +160,13 @@ fn each_category_has_a_pinned_minimal_trace() {
 fn fixtures_round_trip_through_the_text_format() {
     for (category, trace) in fixtures() {
         let reparsed = from_text(&to_text(&trace)).expect("fixtures serialize");
-        assert_eq!(reparsed, trace, "{category}: text round-trip must be lossless");
-        let analysis = AnalysisBuilder::new().analyze(&reparsed).expect("analyzable");
+        assert_eq!(
+            reparsed, trace,
+            "{category}: text round-trip must be lossless"
+        );
+        let analysis = AnalysisBuilder::new()
+            .analyze(&reparsed)
+            .expect("analyzable");
         assert_eq!(
             analysis.representatives()[0].category,
             category,

@@ -59,7 +59,11 @@ fn random_valid_trace(bytes: &[u8]) -> Trace {
     for i in 0..n_loopers {
         let t = b.thread(
             format!("looper{i}"),
-            if i == 0 { ThreadKind::Main } else { ThreadKind::App },
+            if i == 0 {
+                ThreadKind::Main
+            } else {
+                ThreadKind::App
+            },
             true,
         );
         threads.push((t, true, ThreadState::Created));
@@ -165,8 +169,8 @@ fn random_valid_trace(bytes: &[u8]) -> Trace {
                         // Post (sometimes enabled first, sometimes delayed).
                         let target = c.pick(threads.len());
                         let (target_id, has_q, tstate) = threads[target];
-                        let attached = has_q
-                            && !matches!(tstate, ThreadState::Created | ThreadState::Exited);
+                        let attached =
+                            has_q && !matches!(tstate, ThreadState::Created | ThreadState::Exited);
                         if attached {
                             let kind = match c.pick(5) {
                                 0 => PostKind::Delayed(10 * (1 + c.pick(4) as u64)),

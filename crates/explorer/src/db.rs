@@ -279,7 +279,10 @@ mod tests {
         let (campaign, base) = run_campaign_profiled(&app, &config, 1).expect("campaign runs");
         assert_eq!(base.name, "explore");
         assert_eq!(base.children.len(), campaign.runs.len());
-        assert!(base.children[0].counters.iter().any(|(k, _)| k == "trace_ops"));
+        assert!(base.children[0]
+            .counters
+            .iter()
+            .any(|(k, _)| k == "trace_ops"));
         for threads in [2, 8] {
             let (c, span) = run_campaign_profiled(&app, &config, threads).expect("campaign runs");
             assert_eq!(c.db.len(), campaign.db.len(), "threads={threads}");

@@ -110,7 +110,10 @@ mod tests {
             assert!(!fmt.samples().is_empty());
         }
         assert!(TextFormat::Email.samples().iter().all(|s| s.contains('@')));
-        assert!(TextFormat::Url.samples().iter().all(|s| s.starts_with("http")));
+        assert!(TextFormat::Url
+            .samples()
+            .iter()
+            .all(|s| s.starts_with("http")));
     }
 
     #[test]

@@ -78,7 +78,9 @@ impl LifecycleTask {
 
     /// The transition named `label` in the [`dsl::ACTIVITY`] task table.
     fn from_label(label: &str) -> Option<LifecycleTask> {
-        LifecycleTask::all().into_iter().find(|t| t.label() == label)
+        LifecycleTask::all()
+            .into_iter()
+            .find(|t| t.label() == label)
     }
 }
 
@@ -115,7 +117,9 @@ impl ActivityPlan {
     /// callback/transition the compiler does not know — a defect in the
     /// constant tables, caught by every compile in the test suite.
     pub fn from_dsl() -> Self {
-        dsl::ACTIVITY.validate().expect("ACTIVITY automaton is consistent");
+        dsl::ACTIVITY
+            .validate()
+            .expect("ACTIVITY automaton is consistent");
         let callback = |name: &str| {
             Callback::all()
                 .into_iter()
@@ -384,13 +388,22 @@ pub fn compile_with_activity_plan(
     // legacy lowering).
     for (s_idx, service) in app.services.iter().enumerate() {
         p.set_task_body(refs.service_create[s_idx], cc.stmts(&service.create, None)?);
-        p.set_task_body(refs.service_start[s_idx], cc.stmts(&service.start_command, None)?);
-        p.set_task_body(refs.service_destroy[s_idx], cc.stmts(&service.destroy, None)?);
+        p.set_task_body(
+            refs.service_start[s_idx],
+            cc.stmts(&service.start_command, None)?,
+        );
+        p.set_task_body(
+            refs.service_destroy[s_idx],
+            cc.stmts(&service.destroy, None)?,
+        );
     }
     // IntentServices: `onHandleIntent` bodies run on the component's own
     // serial-executor queue thread.
     for (s_idx, svc) in app.intent_services.iter().enumerate() {
-        p.set_task_body(refs.intent_handle[s_idx], cc.stmts(&svc.handle_intent, None)?);
+        p.set_task_body(
+            refs.intent_handle[s_idx],
+            cc.stmts(&svc.handle_intent, None)?,
+        );
     }
     for (r_idx, receiver) in app.receivers.iter().enumerate() {
         p.set_task_body(refs.receive[r_idx], cc.stmts(&receiver.receive, None)?);
@@ -493,7 +506,13 @@ fn allocate(app: &App, p: &mut ProgramBuilder) -> Refs {
     let intent_queues = app
         .intent_services
         .iter()
-        .map(|s| p.thread(ThreadSpec::app(format!("{}-queue", s.name)).initial().with_queue()))
+        .map(|s| {
+            p.thread(
+                ThreadSpec::app(format!("{}-queue", s.name))
+                    .initial()
+                    .with_queue(),
+            )
+        })
         .collect();
     let mut timers = HashMap::new();
     for (i, spec) in collect_timers(app).into_iter().enumerate() {
@@ -624,7 +643,9 @@ fn collect_timers(app: &App) -> Vec<(usize, u64, u64, u32)> {
     let mut out = Vec::new();
     for a in &app.activities {
         let c = &a.callbacks;
-        for body in [&c.create, &c.start, &c.resume, &c.pause, &c.stop, &c.restart, &c.destroy] {
+        for body in [
+            &c.create, &c.start, &c.resume, &c.pause, &c.stop, &c.restart, &c.destroy,
+        ] {
             scan(body, &mut out);
         }
     }
@@ -634,7 +655,12 @@ fn collect_timers(app: &App) -> Vec<(usize, u64, u64, u32)> {
         }
     }
     for t in &app.async_tasks {
-        for body in [&t.pre_execute, &t.background, &t.progress_update, &t.post_execute] {
+        for body in [
+            &t.pre_execute,
+            &t.background,
+            &t.progress_update,
+            &t.post_execute,
+        ] {
             scan(body, &mut out);
         }
     }
@@ -687,9 +713,12 @@ impl Walk<'_> {
                 if w.0 >= self.app.widgets.len() {
                     return Err(CompileError::UnknownWidget { index: w.0 });
                 }
-                let top = self.stack.last().copied().ok_or(CompileError::EventAfterExit)?;
-                if self.app.widget_activity(w) != top
-                    || !self.app.widget_events(w).contains(&kind)
+                let top = self
+                    .stack
+                    .last()
+                    .copied()
+                    .ok_or(CompileError::EventAfterExit)?;
+                if self.app.widget_activity(w) != top || !self.app.widget_events(w).contains(&kind)
                 {
                     return Err(CompileError::EventNotAvailable {
                         event: UiEvent::Widget(w, kind).describe(self.app),
@@ -748,7 +777,11 @@ impl Walk<'_> {
 
     /// Walks onCreate+onStart+onResume (consequences of a launch/relaunch),
     /// then the fragment callbacks nested in the LAUNCH transition.
-    fn process_activity_resume_path(&mut self, a: ActivityId, depth: usize) -> Result<(), CompileError> {
+    fn process_activity_resume_path(
+        &mut self,
+        a: ActivityId,
+        depth: usize,
+    ) -> Result<(), CompileError> {
         let cb = self.app.activities[a.0].callbacks.clone();
         self.process_stmts(&cb.create, depth)?;
         self.process_stmts(&cb.start, depth)?;
@@ -970,9 +1003,7 @@ impl BodyCompiler<'_> {
                     out.push(Action::Enable(self.refs.service_create[s.0]));
                     out.push(Action::Enable(self.refs.service_start[s.0]));
                 }
-                Stmt::StopService(s) => {
-                    out.push(Action::Enable(self.refs.service_destroy[s.0]))
-                }
+                Stmt::StopService(s) => out.push(Action::Enable(self.refs.service_destroy[s.0])),
                 Stmt::StartIntentService(s) => {
                     out.push(Action::Enable(self.refs.intent_handle[s.0]))
                 }
@@ -1004,9 +1035,7 @@ impl BodyCompiler<'_> {
                     let timer = self.refs.timers[&(handler.0, *delay, *period, *repetitions)];
                     out.push(Action::Fork(timer));
                 }
-                Stmt::RegisterReceiver(r) => {
-                    out.push(Action::Enable(self.refs.receive[r.0]))
-                }
+                Stmt::RegisterReceiver(r) => out.push(Action::Enable(self.refs.receive[r.0])),
             }
         }
         Ok(())
@@ -1028,10 +1057,10 @@ mod tests {
         let flag = b.var("DwFileAct-obj", "isActivityDestroyed");
         let dl = b.async_task(
             "FileDwTask",
-            vec![],                              // onPreExecute: show dialog
+            vec![], // onPreExecute: show dialog
             vec![Stmt::Read(flag), Stmt::PublishProgress],
-            vec![],                              // onProgressUpdate
-            vec![Stmt::Read(flag)],              // onPostExecute: enable PLAY
+            vec![],                 // onProgressUpdate
+            vec![Stmt::Read(flag)], // onPostExecute: enable PLAY
         );
         b.on_create(act, vec![Stmt::Write(flag)]);
         b.on_resume(act, vec![Stmt::ExecuteAsyncTask(dl)]);
@@ -1052,7 +1081,12 @@ mod tests {
                 &SimConfig::default(),
             )
             .expect("runs");
-            assert_eq!(validate(&result.trace), Ok(()), "seed {seed}:\n{}", result.trace);
+            assert_eq!(
+                validate(&result.trace),
+                Ok(()),
+                "seed {seed}:\n{}",
+                result.trace
+            );
             assert!(result.completed, "seed {seed}:\n{}", result.trace);
         }
     }
@@ -1078,7 +1112,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(begun.iter().any(|n| n.contains("LAUNCH_ACTIVITY")), "{begun:?}");
+        assert!(
+            begun.iter().any(|n| n.contains("LAUNCH_ACTIVITY")),
+            "{begun:?}"
+        );
         assert!(begun.iter().any(|n| n.contains("onPause")), "{begun:?}");
         assert!(begun.iter().any(|n| n.contains("onStop")), "{begun:?}");
         assert!(begun.iter().any(|n| n.contains("onDestroy")), "{begun:?}");
@@ -1163,8 +1200,14 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(posted.iter().any(|n| n.contains("onProgressUpdate")), "{posted:?}");
-        assert!(posted.iter().any(|n| n.contains("onPostExecute")), "{posted:?}");
+        assert!(
+            posted.iter().any(|n| n.contains("onProgressUpdate")),
+            "{posted:?}"
+        );
+        assert!(
+            posted.iter().any(|n| n.contains("onPostExecute")),
+            "{posted:?}"
+        );
     }
 
     #[test]
@@ -1207,7 +1250,10 @@ mod tests {
         let a = b.activity("A");
         b.on_create(a, vec![Stmt::StartActivity(a)]);
         let app = b.finish();
-        assert!(matches!(compile(&app, &[]), Err(CompileError::RecursionLimit)));
+        assert!(matches!(
+            compile(&app, &[]),
+            Err(CompileError::RecursionLimit)
+        ));
     }
 
     #[test]
@@ -1215,12 +1261,14 @@ mod tests {
         let mut b = AppBuilder::new("Svc");
         let a = b.activity("Main");
         let v = b.var("svc", "Svc.state");
-        let svc = b.service("SyncService", vec![Stmt::Write(v)], vec![Stmt::Read(v)], vec![]);
-        let rec = b.receiver("NetReceiver", vec![Stmt::Read(v)]);
-        b.on_create(
-            a,
-            vec![Stmt::StartService(svc), Stmt::SendBroadcast(rec)],
+        let svc = b.service(
+            "SyncService",
+            vec![Stmt::Write(v)],
+            vec![Stmt::Read(v)],
+            vec![],
         );
+        let rec = b.receiver("NetReceiver", vec![Stmt::Read(v)]);
+        b.on_create(a, vec![Stmt::StartService(svc), Stmt::SendBroadcast(rec)]);
         let app = b.finish();
         let compiled = compile(&app, &[]).expect("compiles");
         let result = run(
@@ -1240,7 +1288,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(begun.iter().any(|n| n.contains("onStartCommand")), "{begun:?}");
+        assert!(
+            begun.iter().any(|n| n.contains("onStartCommand")),
+            "{begun:?}"
+        );
         assert!(begun.iter().any(|n| n.contains("onReceive")), "{begun:?}");
     }
 
@@ -1261,7 +1312,12 @@ mod tests {
         let mut b = AppBuilder::new("SvcLife");
         let a = b.activity("Main");
         let v = b.var("svc", "Sync.state");
-        let svc = b.service("Sync", vec![Stmt::Write(v)], vec![Stmt::Read(v)], vec![Stmt::Write(v)]);
+        let svc = b.service(
+            "Sync",
+            vec![Stmt::Write(v)],
+            vec![Stmt::Read(v)],
+            vec![Stmt::Write(v)],
+        );
         b.on_create(a, vec![Stmt::StartService(svc), Stmt::StartService(svc)]);
         let stop = b.button(a, "stop", vec![Stmt::StopService(svc)]);
         let again = b.button(a, "again", vec![Stmt::StartService(svc)]);
@@ -1284,12 +1340,21 @@ mod tests {
         assert_eq!(validate(&result.trace), Ok(()));
         let begun = begun_tasks(&result.trace);
         let creates = begun.iter().filter(|n| n.contains("Sync.onCreate")).count();
-        let starts = begun.iter().filter(|n| n.contains("Sync.onStartCommand")).count();
-        let destroys = begun.iter().filter(|n| n.contains("Sync.onDestroy")).count();
+        let starts = begun
+            .iter()
+            .filter(|n| n.contains("Sync.onStartCommand"))
+            .count();
+        let destroys = begun
+            .iter()
+            .filter(|n| n.contains("Sync.onDestroy"))
+            .count();
         // onCreate once per lifetime (two lifetimes), one onStartCommand per
         // StartService, one onDestroy for the explicit stop.
         assert_eq!((creates, starts, destroys), (2, 3, 1), "{begun:?}");
-        let first_create = begun.iter().position(|n| n.contains("Sync.onCreate")).unwrap();
+        let first_create = begun
+            .iter()
+            .position(|n| n.contains("Sync.onCreate"))
+            .unwrap();
         let first_start = begun
             .iter()
             .position(|n| n.contains("Sync.onStartCommand"))
@@ -1303,7 +1368,13 @@ mod tests {
         let a = b.activity("Main");
         let v = b.var("up", "Uploader.pending");
         let isvc = b.intent_service("Uploader", vec![Stmt::Write(v)]);
-        b.on_create(a, vec![Stmt::StartIntentService(isvc), Stmt::StartIntentService(isvc)]);
+        b.on_create(
+            a,
+            vec![
+                Stmt::StartIntentService(isvc),
+                Stmt::StartIntentService(isvc),
+            ],
+        );
         let app = b.finish();
         let compiled = compile(&app, &[]).expect("compiles");
         let result = run(
@@ -1382,7 +1453,10 @@ mod tests {
             }
         }
         assert!(
-            write_in.as_deref().unwrap_or("").contains("LAUNCH_ACTIVITY"),
+            write_in
+                .as_deref()
+                .unwrap_or("")
+                .contains("LAUNCH_ACTIVITY"),
             "write ran in {write_in:?}"
         );
         assert!(
@@ -1402,7 +1476,10 @@ mod tests {
             a,
             vec![
                 Stmt::StartHandlerThread(ht),
-                Stmt::PostToHandlerThread { handler: r, thread: ht },
+                Stmt::PostToHandlerThread {
+                    handler: r,
+                    thread: ht,
+                },
             ],
         );
         let app = b.finish();
@@ -1421,9 +1498,7 @@ mod tests {
             .ops()
             .iter()
             .find_map(|op| match op.kind {
-                OpKind::Post { task, target, .. }
-                    if names.task_name(task) == "bgWork" =>
-                {
+                OpKind::Post { task, target, .. } if names.task_name(task) == "bgWork" => {
                     Some(target)
                 }
                 _ => None,

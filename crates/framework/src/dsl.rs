@@ -111,10 +111,16 @@ impl AutomatonSpec {
         }
         for e in self.edges {
             if !known(e.from) || !known(e.to) {
-                return Err(format!("edge {} -> {} uses undeclared callback", e.from, e.to));
+                return Err(format!(
+                    "edge {} -> {} uses undeclared callback",
+                    e.from, e.to
+                ));
             }
             if e.kind == EdgeKind::Must && self.successors(e.from).len() != 1 {
-                return Err(format!("must-edge source {} has multiple successors", e.from));
+                return Err(format!(
+                    "must-edge source {} has multiple successors",
+                    e.from
+                ));
             }
         }
         for t in self.tasks {
@@ -196,13 +202,19 @@ impl DslMachine {
             .iter()
             .copied()
             .find(|c| *c == callback)
-            .ok_or(DslError { callback: "<unknown>", after: self.last })?;
+            .ok_or(DslError {
+                callback: "<unknown>",
+                after: self.last,
+            })?;
         let ok = match self.last {
             None => canonical == self.spec.entry,
             Some(prev) => self.spec.successors(prev).contains(&canonical),
         };
         if !ok {
-            return Err(DslError { callback: canonical, after: self.last });
+            return Err(DslError {
+                callback: canonical,
+                after: self.last,
+            });
         }
         self.last = Some(canonical);
         Ok(())
@@ -228,19 +240,61 @@ impl DslMachine {
 pub const ACTIVITY: AutomatonSpec = AutomatonSpec {
     component: "Activity",
     callbacks: &[
-        "onCreate", "onStart", "onResume", "onPause", "onStop", "onRestart", "onDestroy",
+        "onCreate",
+        "onStart",
+        "onResume",
+        "onPause",
+        "onStop",
+        "onRestart",
+        "onDestroy",
     ],
     entry: "onCreate",
     edges: &[
-        EdgeSpec { from: "onCreate", to: "onStart", kind: EdgeKind::Must },
-        EdgeSpec { from: "onStart", to: "onResume", kind: EdgeKind::May },
-        EdgeSpec { from: "onStart", to: "onStop", kind: EdgeKind::May },
-        EdgeSpec { from: "onResume", to: "onPause", kind: EdgeKind::Must },
-        EdgeSpec { from: "onPause", to: "onResume", kind: EdgeKind::May },
-        EdgeSpec { from: "onPause", to: "onStop", kind: EdgeKind::May },
-        EdgeSpec { from: "onStop", to: "onRestart", kind: EdgeKind::May },
-        EdgeSpec { from: "onStop", to: "onDestroy", kind: EdgeKind::May },
-        EdgeSpec { from: "onRestart", to: "onStart", kind: EdgeKind::Must },
+        EdgeSpec {
+            from: "onCreate",
+            to: "onStart",
+            kind: EdgeKind::Must,
+        },
+        EdgeSpec {
+            from: "onStart",
+            to: "onResume",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onStart",
+            to: "onStop",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onResume",
+            to: "onPause",
+            kind: EdgeKind::Must,
+        },
+        EdgeSpec {
+            from: "onPause",
+            to: "onResume",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onPause",
+            to: "onStop",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onStop",
+            to: "onRestart",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onStop",
+            to: "onDestroy",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onRestart",
+            to: "onStart",
+            kind: EdgeKind::Must,
+        },
     ],
     tasks: &[
         TaskSpec {
@@ -298,9 +352,21 @@ pub const SERVICE: AutomatonSpec = AutomatonSpec {
     callbacks: &["onCreate", "onStartCommand", "onDestroy"],
     entry: "onCreate",
     edges: &[
-        EdgeSpec { from: "onCreate", to: "onStartCommand", kind: EdgeKind::Must },
-        EdgeSpec { from: "onStartCommand", to: "onStartCommand", kind: EdgeKind::May },
-        EdgeSpec { from: "onStartCommand", to: "onDestroy", kind: EdgeKind::May },
+        EdgeSpec {
+            from: "onCreate",
+            to: "onStartCommand",
+            kind: EdgeKind::Must,
+        },
+        EdgeSpec {
+            from: "onStartCommand",
+            to: "onStartCommand",
+            kind: EdgeKind::May,
+        },
+        EdgeSpec {
+            from: "onStartCommand",
+            to: "onDestroy",
+            kind: EdgeKind::May,
+        },
     ],
     tasks: &[
         TaskSpec {
@@ -337,9 +403,21 @@ pub const FRAGMENT: AutomatonSpec = AutomatonSpec {
     callbacks: &["onAttach", "onCreateView", "onDestroyView", "onDetach"],
     entry: "onAttach",
     edges: &[
-        EdgeSpec { from: "onAttach", to: "onCreateView", kind: EdgeKind::Must },
-        EdgeSpec { from: "onCreateView", to: "onDestroyView", kind: EdgeKind::Must },
-        EdgeSpec { from: "onDestroyView", to: "onDetach", kind: EdgeKind::Must },
+        EdgeSpec {
+            from: "onAttach",
+            to: "onCreateView",
+            kind: EdgeKind::Must,
+        },
+        EdgeSpec {
+            from: "onCreateView",
+            to: "onDestroyView",
+            kind: EdgeKind::Must,
+        },
+        EdgeSpec {
+            from: "onDestroyView",
+            to: "onDetach",
+            kind: EdgeKind::Must,
+        },
     ],
     tasks: &[
         TaskSpec {
@@ -461,10 +539,11 @@ mod tests {
         )
         .is_ok());
         assert!(DslMachine::check(&SERVICE, &["onStartCommand"]).is_err());
-        assert!(
-            DslMachine::check(&SERVICE, &["onCreate", "onStartCommand", "onDestroy", "onStartCommand"])
-                .is_err()
-        );
+        assert!(DslMachine::check(
+            &SERVICE,
+            &["onCreate", "onStartCommand", "onDestroy", "onStartCommand"]
+        )
+        .is_err());
     }
 
     #[test]
@@ -490,7 +569,11 @@ mod tests {
             component: "X",
             callbacks: &["a"],
             entry: "a",
-            edges: &[EdgeSpec { from: "a", to: "b", kind: EdgeKind::May }],
+            edges: &[EdgeSpec {
+                from: "a",
+                to: "b",
+                kind: EdgeKind::May,
+            }],
             tasks: &[],
         };
         assert!(BAD_EDGE.validate().is_err());
@@ -499,8 +582,16 @@ mod tests {
             callbacks: &["a", "b", "c"],
             entry: "a",
             edges: &[
-                EdgeSpec { from: "a", to: "b", kind: EdgeKind::Must },
-                EdgeSpec { from: "a", to: "c", kind: EdgeKind::May },
+                EdgeSpec {
+                    from: "a",
+                    to: "b",
+                    kind: EdgeKind::Must,
+                },
+                EdgeSpec {
+                    from: "a",
+                    to: "c",
+                    kind: EdgeKind::May,
+                },
             ],
             tasks: &[],
         };

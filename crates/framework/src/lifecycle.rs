@@ -188,10 +188,9 @@ mod tests {
 
     #[test]
     fn restart_cycle_is_legal() {
-        let state = LifecycleMachine::check(&[
-            Create, Start, Resume, Pause, Stop, Restart, Start, Resume,
-        ])
-        .expect("legal sequence");
+        let state =
+            LifecycleMachine::check(&[Create, Start, Resume, Pause, Stop, Restart, Start, Resume])
+                .expect("legal sequence");
         assert_eq!(state, LifecycleState::Running);
     }
 

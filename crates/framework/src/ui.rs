@@ -266,7 +266,9 @@ mod tests {
             .unwrap();
         assert_eq!(s2.top(), Some(detail));
         // open is on Main, not Detail.
-        assert!(s2.apply(&app, UiEvent::Widget(open, UiEventKind::Click)).is_none());
+        assert!(s2
+            .apply(&app, UiEvent::Widget(open, UiEventKind::Click))
+            .is_none());
     }
 
     #[test]
@@ -286,8 +288,18 @@ mod tests {
         let a = b.activity("Main");
         let play = b.button(a, "play", vec![]);
         b.initially_disabled(play);
-        let h = b.handler("enablePlay", vec![Stmt::EnableWidget(play, UiEventKind::Click)]);
-        b.on_resume(a, vec![Stmt::Post { handler: h, delay: None, front: false }]);
+        let h = b.handler(
+            "enablePlay",
+            vec![Stmt::EnableWidget(play, UiEventKind::Click)],
+        );
+        b.on_resume(
+            a,
+            vec![Stmt::Post {
+                handler: h,
+                delay: None,
+                front: false,
+            }],
+        );
         let app = b.finish();
         let s = UiState::initial(&app).unwrap();
         assert!(s

@@ -216,7 +216,10 @@ fn main() {
     let dir = Path::new("tests/data/fuzz_regressions");
     for tag in ComponentTag::all() {
         let Some((spec, sched_seed)) = best.get(tag.label()) else {
-            panic!("{}: no qualifying spec in {ITERATIONS} iterations", tag.label());
+            panic!(
+                "{}: no qualifying spec in {ITERATIONS} iterations",
+                tag.label()
+            );
         };
         let shape = shape_of(tag);
         let (shrunk, trace, rounds) =

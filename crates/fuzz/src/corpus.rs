@@ -87,9 +87,18 @@ pub fn features_of(
             let f = match a {
                 SpecAction::Read(_) | SpecAction::Write(_) => "gen.access",
                 SpecAction::Acquire(_) | SpecAction::Release(_) => "gen.lock",
-                SpecAction::Post { kind: PostKind::Plain, .. } => "gen.post.plain",
-                SpecAction::Post { kind: PostKind::Delayed(_), .. } => "gen.post.delayed",
-                SpecAction::Post { kind: PostKind::Front, .. } => "gen.post.front",
+                SpecAction::Post {
+                    kind: PostKind::Plain,
+                    ..
+                } => "gen.post.plain",
+                SpecAction::Post {
+                    kind: PostKind::Delayed(_),
+                    ..
+                } => "gen.post.delayed",
+                SpecAction::Post {
+                    kind: PostKind::Front,
+                    ..
+                } => "gen.post.front",
                 SpecAction::Enable(_) => "gen.enable",
                 SpecAction::Cancel(_) => "gen.cancel",
                 SpecAction::AddIdle { .. } => "gen.idle",
@@ -115,8 +124,14 @@ pub fn features_of(
     for (_, op) in original.iter() {
         let f = match op.kind {
             OpKind::Cancel { .. } => Some("op.cancel"),
-            OpKind::Post { kind: PostKind::Delayed(_), .. } => Some("op.post.delayed"),
-            OpKind::Post { kind: PostKind::Front, .. } => Some("op.post.front"),
+            OpKind::Post {
+                kind: PostKind::Delayed(_),
+                ..
+            } => Some("op.post.delayed"),
+            OpKind::Post {
+                kind: PostKind::Front,
+                ..
+            } => Some("op.post.front"),
             OpKind::Post { event: Some(_), .. } => Some("op.post.event"),
             _ => None,
         };
@@ -230,10 +245,7 @@ pub fn load_regressions(dir: &Path) -> io::Result<Vec<(PathBuf, Trace)>> {
         .map(|p| {
             let text = fs::read_to_string(&p)?;
             let trace = from_text(&text).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", p.display()),
-                )
+                io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", p.display()))
             })?;
             Ok((p, trace))
         })

@@ -12,9 +12,7 @@
 //! fork/join, enable gating) that recent traces rarely exercised, steering
 //! generation toward the engine rules the static corpus leaves cold.
 
-use droidracer_sim::{
-    Action, Injection, Program, ProgramBuilder, ProgramError, ThreadSpec,
-};
+use droidracer_sim::{Action, Injection, Program, ProgramBuilder, ProgramError, ThreadSpec};
 use droidracer_trace::{PostKind, ThreadKind};
 use rand::rngs::SmallRng;
 use rand::RngExt;
@@ -378,10 +376,18 @@ pub fn generate(rng: &mut SmallRng, config: &GenConfig, bias: &GenBias) -> Progr
     let loopers = 1 + rng.random_range(0..config.max_loopers);
     for i in 0..loopers {
         spec.threads.push(SpecThread {
-            name: if i == 0 { "main".into() } else { format!("looper{i}") },
+            name: if i == 0 {
+                "main".into()
+            } else {
+                format!("looper{i}")
+            },
             initial: true,
             queue: true,
-            kind: if i == 0 { ThreadKind::Main } else { ThreadKind::App },
+            kind: if i == 0 {
+                ThreadKind::Main
+            } else {
+                ThreadKind::App
+            },
             body: Vec::new(),
         });
     }
@@ -391,7 +397,11 @@ pub fn generate(rng: &mut SmallRng, config: &GenConfig, bias: &GenBias) -> Progr
             name: format!("bg{i}"),
             initial: true,
             queue: false,
-            kind: if i == 0 { ThreadKind::Binder } else { ThreadKind::App },
+            kind: if i == 0 {
+                ThreadKind::Binder
+            } else {
+                ThreadKind::App
+            },
             body: Vec::new(),
         });
     }
@@ -425,7 +435,15 @@ pub fn generate(rng: &mut SmallRng, config: &GenConfig, bias: &GenBias) -> Progr
     let n_threads = spec.threads.len();
     for i in 0..n_threads {
         if spec.threads[i].initial {
-            let body = gen_body(rng, config, bias, &spec, BodyContext::Thread, forkable_base, forkables);
+            let body = gen_body(
+                rng,
+                config,
+                bias,
+                &spec,
+                BodyContext::Thread,
+                forkable_base,
+                forkables,
+            );
             spec.threads[i].body = body;
         }
     }
@@ -495,14 +513,29 @@ fn append_component(spec: &mut ProgramSpec, tag: ComponentTag) {
         spec.locs - 1
     };
     let thread = |spec: &mut ProgramSpec, name: String, initial: bool, queue: bool, kind, body| {
-        spec.threads.push(SpecThread { name, initial, queue, kind, body });
+        spec.threads.push(SpecThread {
+            name,
+            initial,
+            queue,
+            kind,
+            body,
+        });
         spec.threads.len() - 1
     };
     let task = |spec: &mut ProgramSpec, name: String, body| {
-        spec.tasks.push(SpecTask { name, event: None, needs_enable: false, body });
+        spec.tasks.push(SpecTask {
+            name,
+            event: None,
+            needs_enable: false,
+            body,
+        });
         spec.tasks.len() - 1
     };
-    let post = |t: usize, target: usize| SpecAction::Post { task: t, target, kind: PostKind::Plain };
+    let post = |t: usize, target: usize| SpecAction::Post {
+        task: t,
+        target,
+        kind: PostKind::Plain,
+    };
     const MAIN: usize = 0;
 
     match tag {
@@ -529,7 +562,12 @@ fn append_component(spec: &mut ProgramSpec, tag: ComponentTag) {
                 true,
                 false,
                 ThreadKind::Binder,
-                vec![post(create, MAIN), post(start, MAIN), post(start, MAIN), post(destroy, MAIN)],
+                vec![
+                    post(create, MAIN),
+                    post(start, MAIN),
+                    post(start, MAIN),
+                    post(destroy, MAIN),
+                ],
             );
         }
         ComponentTag::Fragment => {
@@ -661,10 +699,18 @@ fn gen_body(
     };
     let mut forked: Vec<usize> = Vec::new();
     while body.len() < len {
-        let w_post = if postable.is_empty() || loopers.is_empty() { 0 } else { bias.post };
+        let w_post = if postable.is_empty() || loopers.is_empty() {
+            0
+        } else {
+            bias.post
+        };
         let w_lock = if spec.locks == 0 { 0 } else { bias.lock };
         let w_cancel = if postable.is_empty() { 0 } else { bias.cancel };
-        let w_idle = if postable.is_empty() || loopers.is_empty() { 0 } else { bias.idle };
+        let w_idle = if postable.is_empty() || loopers.is_empty() {
+            0
+        } else {
+            bias.idle
+        };
         let w_fork = if forkables == 0 { 0 } else { bias.fork };
         let total = bias.access + w_post + w_lock + w_cancel + w_idle + w_fork;
         let mut roll = rng.random_range(0..total as usize) as u32;
@@ -710,7 +756,9 @@ fn gen_body(
         }
         roll -= w_lock;
         if roll < w_cancel {
-            body.push(SpecAction::Cancel(postable[rng.random_range(0..postable.len())]));
+            body.push(SpecAction::Cancel(
+                postable[rng.random_range(0..postable.len())],
+            ));
             continue;
         }
         roll -= w_cancel;
@@ -753,7 +801,12 @@ mod tests {
         let gen_all = |seed| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..20)
-                .map(|_| format!("{:?}", generate(&mut rng, &GenConfig::default(), &GenBias::default())))
+                .map(|_| {
+                    format!(
+                        "{:?}",
+                        generate(&mut rng, &GenConfig::default(), &GenBias::default())
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(gen_all(7), gen_all(7));
@@ -777,11 +830,19 @@ mod tests {
                 .flat_map(|t| t.body.iter().copied())
                 .chain(spec.tasks.iter().flat_map(|t| t.body.iter().copied()))
                 .collect();
-            assert!(!all_actions.iter().any(|a| matches!(a, SpecAction::Cancel(_))));
-            assert!(!all_actions.iter().any(|a| matches!(a, SpecAction::AddIdle { .. })));
             assert!(!all_actions
                 .iter()
-                .any(|a| matches!(a, SpecAction::Post { kind: PostKind::Front, .. })));
+                .any(|a| matches!(a, SpecAction::Cancel(_))));
+            assert!(!all_actions
+                .iter()
+                .any(|a| matches!(a, SpecAction::AddIdle { .. })));
+            assert!(!all_actions.iter().any(|a| matches!(
+                a,
+                SpecAction::Post {
+                    kind: PostKind::Front,
+                    ..
+                }
+            )));
         }
     }
 
@@ -801,7 +862,11 @@ mod tests {
             }
         }
         for tag in ComponentTag::all() {
-            assert!(seen.contains(tag.label()), "{} never generated", tag.label());
+            assert!(
+                seen.contains(tag.label()),
+                "{} never generated",
+                tag.label()
+            );
         }
     }
 

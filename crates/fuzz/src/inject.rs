@@ -178,7 +178,11 @@ pub fn storm(text: &str, base_seed: u64, count: u64) -> StormReport {
                     Ok((again, rediags)) if rediags.is_empty() && again.ops() == trace.ops() => {}
                     _ => return None, // repair must be a fixed point
                 }
-                Some(if diags.is_empty() { (1u8, 0u8, 0u8) } else { (0, 1, 0) })
+                Some(if diags.is_empty() {
+                    (1u8, 0u8, 0u8)
+                } else {
+                    (0, 1, 0)
+                })
             }
             Err(_) => Some((0, 0, 1)),
         }));
@@ -236,7 +240,9 @@ pub fn analyze_isolated(
                 }
             }
         }
-        let analysis = builder.analyze(&trace).map_err(AnalysisErrorLike::Analysis)?;
+        let analysis = builder
+            .analyze(&trace)
+            .map_err(AnalysisErrorLike::Analysis)?;
         let races: Vec<String> = analysis
             .representatives()
             .iter()
@@ -251,15 +257,13 @@ pub fn analyze_isolated(
             result.map_err(|err| {
                 let (cause, payload) = match err {
                     ItemError::Panic(msg) => (QuarantineCause::Panic, msg),
-                    ItemError::Err(AnalysisErrorLike::Analysis(AnalysisError::BudgetExhausted(
-                        e,
-                    ))) => (QuarantineCause::BudgetExhausted(e.reason), e.to_string()),
+                    ItemError::Err(AnalysisErrorLike::Analysis(
+                        AnalysisError::BudgetExhausted(e),
+                    )) => (QuarantineCause::BudgetExhausted(e.reason), e.to_string()),
                     ItemError::Err(AnalysisErrorLike::Analysis(e)) => {
                         (QuarantineCause::Error, e.to_string())
                     }
-                    ItemError::Err(AnalysisErrorLike::Parse(msg)) => {
-                        (QuarantineCause::Error, msg)
-                    }
+                    ItemError::Err(AnalysisErrorLike::Parse(msg)) => (QuarantineCause::Error, msg),
                 };
                 Quarantined {
                     input: name.clone(),
@@ -283,9 +287,7 @@ enum AnalysisErrorLike {
 /// text round-trips (no repairs, identical ops).
 pub fn roundtrips_clean(text: &str) -> bool {
     match (from_text(text), from_text_lenient(text)) {
-        (Ok(strict), Ok((lenient, diags))) => {
-            diags.is_empty() && strict.ops() == lenient.ops()
-        }
+        (Ok(strict), Ok((lenient, diags))) => diags.is_empty() && strict.ops() == lenient.ops(),
         _ => false,
     }
 }

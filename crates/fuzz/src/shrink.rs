@@ -65,7 +65,10 @@ pub fn shrink(
     let (best, (best_trace, best_kinds), rounds) =
         shrink_with(spec, &|candidate: &ProgramSpec| {
             let (trace, kinds) = probe(candidate, sched_seed, incremental, reference)?;
-            kinds.iter().any(|k| target.contains(k)).then_some((trace, kinds))
+            kinds
+                .iter()
+                .any(|k| target.contains(k))
+                .then_some((trace, kinds))
         })?;
     Some(ShrinkResult {
         spec: best,
@@ -254,7 +257,11 @@ mod tests {
                         SpecAction::Read(1),
                         SpecAction::Fork(2),
                         SpecAction::Write(0),
-                        SpecAction::Post { task: 0, target: 0, kind: PostKind::Plain },
+                        SpecAction::Post {
+                            task: 0,
+                            target: 0,
+                            kind: PostKind::Plain,
+                        },
                     ],
                 },
                 SpecThread {
@@ -290,7 +297,10 @@ mod tests {
         // Flip the FORK rule on the incremental side only: every trace with
         // a fork edge diverges from the reference.
         let mutated = HbConfig {
-            rules: RuleSet { fork: false, ..RuleSet::full() },
+            rules: RuleSet {
+                fork: false,
+                ..RuleSet::full()
+            },
             merge_accesses: true,
         };
         let spec = padded_racy_spec();
@@ -299,7 +309,10 @@ mod tests {
                 .into_iter()
                 .collect();
         let (_, kinds) = probe(&spec, 7, mutated, HbConfig::new()).expect("spec runs");
-        assert!(kinds.iter().any(|k| target.contains(k)), "must fail initially: {kinds:?}");
+        assert!(
+            kinds.iter().any(|k| target.contains(k)),
+            "must fail initially: {kinds:?}"
+        );
 
         let result = shrink(&spec, 7, mutated, HbConfig::new(), &target)
             .expect("the padded spec reproduces under the probe");
@@ -310,7 +323,11 @@ mod tests {
             result.spec.action_count(),
             spec.action_count()
         );
-        assert!(result.trace.len() <= 25, "shrunk trace stays small: {}", result.trace.len());
+        assert!(
+            result.trace.len() <= 25,
+            "shrunk trace stays small: {}",
+            result.trace.len()
+        );
     }
 
     #[test]
@@ -322,9 +339,11 @@ mod tests {
             needs_enable: false,
             body: vec![],
         });
-        spec.threads[0]
-            .body
-            .push(SpecAction::Post { task: 1, target: 0, kind: PostKind::Plain });
+        spec.threads[0].body.push(SpecAction::Post {
+            task: 1,
+            target: 0,
+            kind: PostKind::Plain,
+        });
         let out = remove_task(&spec, 0);
         assert_eq!(out.tasks.len(), 1);
         // The post of old task 1 is remapped to index 0; posts of old task 0

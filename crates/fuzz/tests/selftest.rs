@@ -22,12 +22,48 @@ fn mutated(rules: RuleSet) -> HbConfig {
 fn mutations() -> Vec<(&'static str, HbConfig)> {
     let full = RuleSet::full;
     vec![
-        ("fifo-off", mutated(RuleSet { fifo: false, ..full() })),
-        ("nopre-off", mutated(RuleSet { nopre: false, ..full() })),
-        ("fork-off", mutated(RuleSet { fork: false, ..full() })),
-        ("lock-off", mutated(RuleSet { lock: false, ..full() })),
-        ("post-off", mutated(RuleSet { post: false, ..full() })),
-        ("delayed-fifo-off", mutated(RuleSet { delayed_fifo: false, ..full() })),
+        (
+            "fifo-off",
+            mutated(RuleSet {
+                fifo: false,
+                ..full()
+            }),
+        ),
+        (
+            "nopre-off",
+            mutated(RuleSet {
+                nopre: false,
+                ..full()
+            }),
+        ),
+        (
+            "fork-off",
+            mutated(RuleSet {
+                fork: false,
+                ..full()
+            }),
+        ),
+        (
+            "lock-off",
+            mutated(RuleSet {
+                lock: false,
+                ..full()
+            }),
+        ),
+        (
+            "post-off",
+            mutated(RuleSet {
+                post: false,
+                ..full()
+            }),
+        ),
+        (
+            "delayed-fifo-off",
+            mutated(RuleSet {
+                delayed_fifo: false,
+                ..full()
+            }),
+        ),
     ]
 }
 
@@ -50,13 +86,10 @@ fn every_rule_flip_is_reported_and_shrunk() {
         );
         let failure = &report.failures[0];
         assert!(
-            failure
-                .divergences
-                .iter()
-                .any(|d| matches!(
-                    d.kind,
-                    DivergenceKind::ClosureMatrix | DivergenceKind::ClosureStats
-                )),
+            failure.divergences.iter().any(|d| matches!(
+                d.kind,
+                DivergenceKind::ClosureMatrix | DivergenceKind::ClosureStats
+            )),
             "{label}: expected a closure divergence, got {:?}",
             failure.divergences
         );
@@ -80,13 +113,10 @@ fn every_rule_flip_is_reported_and_shrunk() {
         // the trace — the form it would be committed in.
         let recheck = check_trace(shrunk, broken, HbConfig::new());
         assert!(
-            recheck
-                .divergences
-                .iter()
-                .any(|d| matches!(
-                    d.kind,
-                    DivergenceKind::ClosureMatrix | DivergenceKind::ClosureStats
-                )),
+            recheck.divergences.iter().any(|d| matches!(
+                d.kind,
+                DivergenceKind::ClosureMatrix | DivergenceKind::ClosureStats
+            )),
             "{label}: shrunk trace no longer reproduces: {:?}",
             recheck.divergences
         );

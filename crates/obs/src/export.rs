@@ -38,7 +38,11 @@ fn format_duration(ns: u64) -> String {
 pub fn render_span_tree(root: &SpanRecord) -> String {
     let mut rows: Vec<(String, u64, String)> = Vec::new();
     collect_rows(root, "", "", &mut rows);
-    let label_width = rows.iter().map(|(l, _, _)| l.chars().count()).max().unwrap_or(0);
+    let label_width = rows
+        .iter()
+        .map(|(l, _, _)| l.chars().count())
+        .max()
+        .unwrap_or(0);
     let mut out = String::new();
     for (label, dur_ns, counters) in rows {
         let pad = label_width - label.chars().count();
@@ -54,7 +58,12 @@ pub fn render_span_tree(root: &SpanRecord) -> String {
     out
 }
 
-fn collect_rows(span: &SpanRecord, prefix: &str, child_prefix: &str, rows: &mut Vec<(String, u64, String)>) {
+fn collect_rows(
+    span: &SpanRecord,
+    prefix: &str,
+    child_prefix: &str,
+    rows: &mut Vec<(String, u64, String)>,
+) {
     let counters = span
         .counters
         .iter()
@@ -64,7 +73,11 @@ fn collect_rows(span: &SpanRecord, prefix: &str, child_prefix: &str, rows: &mut 
     rows.push((format!("{prefix}{}", span.name), span.dur_ns, counters));
     let last = span.children.len().saturating_sub(1);
     for (i, child) in span.children.iter().enumerate() {
-        let (tee, bar) = if i == last { ("└─ ", "   ") } else { ("├─ ", "│  ") };
+        let (tee, bar) = if i == last {
+            ("└─ ", "   ")
+        } else {
+            ("├─ ", "│  ")
+        };
         collect_rows(
             child,
             &format!("{child_prefix}{tee}"),
@@ -214,7 +227,10 @@ mod tests {
         let events = json.get("traceEvents").unwrap().as_array().unwrap();
         // 3 spans + counter + histogram; the gauge is excluded.
         assert_eq!(events.len(), 5);
-        let names: Vec<&str> = events.iter().filter_map(|e| e.get("name")?.as_str()).collect();
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name")?.as_str())
+            .collect();
         assert!(names.contains(&"analyze"));
         assert!(names.contains(&"hb.word_ops"));
         assert!(!names.contains(&"time.total_ms"));
@@ -227,7 +243,10 @@ mod tests {
 
     #[test]
     fn strip_wall_clock_zeroes_ts_and_dur_only() {
-        let doc = chrome_trace(std::slice::from_ref(&sample_tree()), &MetricsRegistry::new());
+        let doc = chrome_trace(
+            std::slice::from_ref(&sample_tree()),
+            &MetricsRegistry::new(),
+        );
         let stripped = strip_wall_clock(&doc);
         assert!(stripped.contains("\"ts\": 0"), "{stripped}");
         assert!(stripped.contains("\"dur\": 0"), "{stripped}");
@@ -239,7 +258,10 @@ mod tests {
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("parse"))
             .unwrap();
-        assert_eq!(parse.get("args").unwrap().get("ops").unwrap().as_f64(), Some(1355.0));
+        assert_eq!(
+            parse.get("args").unwrap().get("ops").unwrap().as_f64(),
+            Some(1355.0)
+        );
     }
 
     #[test]

@@ -297,7 +297,10 @@ mod tests {
         let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "s": "x\ny"}"#;
         let json = Json::parse(doc).expect("parses");
         assert_eq!(json.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(json.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            json.get("a").unwrap().as_array().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(json.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert_eq!(json.get("s").unwrap().as_str(), Some("x\ny"));
     }

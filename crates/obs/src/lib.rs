@@ -103,7 +103,11 @@ impl SpanRecord {
 
     /// Total number of spans in this subtree (including self).
     pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanRecord::span_count).sum::<usize>()
+        1 + self
+            .children
+            .iter()
+            .map(SpanRecord::span_count)
+            .sum::<usize>()
     }
 
     /// The deterministic structure of the subtree: names, hierarchy and

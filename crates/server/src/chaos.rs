@@ -409,12 +409,7 @@ fn shard_panic(soak: &mut Soak<'_>) -> io::Result<()> {
 /// Builds a WAL-backed server, runs `jobs` acknowledged submissions, and
 /// shuts down — leaving exactly the on-disk state a `kill -9` after the
 /// last acknowledgement would: every acked record in the log.
-fn populate_wal(
-    soak: &mut Soak<'_>,
-    cache: &Path,
-    spec: &JobSpec,
-    jobs: usize,
-) -> io::Result<()> {
+fn populate_wal(soak: &mut Soak<'_>, cache: &Path, spec: &JobSpec, jobs: usize) -> io::Result<()> {
     let harness = Harness::start(ServerConfig {
         cache_path: Some(cache.to_owned()),
         ..ServerConfig::default()
@@ -491,7 +486,14 @@ fn torn_wal_tail(soak: &mut Soak<'_>, dir: &Path) -> io::Result<()> {
     std::fs::write(&cache, &bytes)?;
     soak.report.faults_injected += 1;
 
-    verify_recovery(soak, &cache, &spec, jobs, None, ("srv.wal_torn_truncated", 1))
+    verify_recovery(
+        soak,
+        &cache,
+        &spec,
+        jobs,
+        None,
+        ("srv.wal_torn_truncated", 1),
+    )
 }
 
 /// Disk corruption: a byte flips inside a non-final WAL record, in its
@@ -522,5 +524,12 @@ fn corrupt_wal_record(soak: &mut Soak<'_>, dir: &Path) -> io::Result<()> {
     std::fs::write(&cache, &bytes)?;
     soak.report.faults_injected += 1;
 
-    verify_recovery(soak, &cache, &spec, jobs, Some(victim), ("srv.wal_skipped", 1))
+    verify_recovery(
+        soak,
+        &cache,
+        &spec,
+        jobs,
+        Some(victim),
+        ("srv.wal_skipped", 1),
+    )
 }

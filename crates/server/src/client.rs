@@ -156,7 +156,13 @@ impl Submission {
 
     /// Whether the submission was answered from the cache.
     pub fn cache_hit(&self) -> bool {
-        matches!(self, Submission::Done { cache_hit: true, .. })
+        matches!(
+            self,
+            Submission::Done {
+                cache_hit: true,
+                ..
+            }
+        )
     }
 }
 
@@ -338,7 +344,11 @@ impl Client {
             let pause = match &outcome {
                 Ok(Submission::Overloaded { retry_after_ms }) => {
                     let jitter = self.jitter();
-                    Some(self.policy.backoff(tries + 1, jitter).max(Duration::from_millis(*retry_after_ms)))
+                    Some(
+                        self.policy
+                            .backoff(tries + 1, jitter)
+                            .max(Duration::from_millis(*retry_after_ms)),
+                    )
                 }
                 Err(e) if retryable(e) => {
                     let jitter = self.jitter();
@@ -367,12 +377,17 @@ impl Client {
         match response {
             Response::Report { cache_hit, record } => {
                 let report = JobReport::from_record(&record).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad report record: {e}"))
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad report record: {e}"),
+                    )
                 })?;
                 Ok(Submission::Done { cache_hit, report })
             }
             Response::Rejected { reason } => Ok(Submission::Rejected { reason }),
-            Response::Overloaded { retry_after_ms } => Ok(Submission::Overloaded { retry_after_ms }),
+            Response::Overloaded { retry_after_ms } => {
+                Ok(Submission::Overloaded { retry_after_ms })
+            }
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected response {other:?}"),
@@ -469,7 +484,11 @@ mod tests {
         for (attempt, cap) in [(1u32, 100u64), (2, 200), (3, 400), (4, 400), (10, 400)] {
             for jitter in [0u64, 1, u64::MAX, 0xdead_beef] {
                 let d = policy.backoff(attempt, jitter).as_millis() as u64;
-                assert!(d >= cap / 2 && d <= cap, "attempt {attempt} jitter {jitter}: {d} ∉ [{}, {cap}]", cap / 2);
+                assert!(
+                    d >= cap / 2 && d <= cap,
+                    "attempt {attempt} jitter {jitter}: {d} ∉ [{}, {cap}]",
+                    cap / 2
+                );
             }
         }
     }

@@ -101,7 +101,10 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "payload truncated mid-field"),
             WireError::BadLength(n) => write!(f, "field length {n} exceeds payload"),
             WireError::BadVersion(v) => {
-                write!(f, "unsupported protocol version {v} (expected {WIRE_VERSION})")
+                write!(
+                    f,
+                    "unsupported protocol version {v} (expected {WIRE_VERSION})"
+                )
             }
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
@@ -230,7 +233,8 @@ impl BodyWriter {
     }
 
     fn bytes(&mut self, data: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(&(data.len() as u32).to_be_bytes());
+        self.buf
+            .extend_from_slice(&(data.len() as u32).to_be_bytes());
         self.buf.extend_from_slice(data);
         self
     }
@@ -270,7 +274,13 @@ impl<'a> BodyReader<'a> {
         if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        Ok((BodyReader { buf: payload, pos: 3 }, payload[2]))
+        Ok((
+            BodyReader {
+                buf: payload,
+                pos: 3,
+            },
+            payload[2],
+        ))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -322,7 +332,11 @@ impl Request {
     /// Encodes the message as a frame payload (version + opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Request::Submit { tenant, spec, trace } => {
+            Request::Submit {
+                tenant,
+                spec,
+                trace,
+            } => {
                 let mut w = BodyWriter::new(OP_SUBMIT);
                 w.str(tenant).str(spec).bytes(trace);
                 w.done()
@@ -435,9 +449,15 @@ mod tests {
                 cache_hit: true,
                 record: "exit=clean counts=0,0,0,0,0 stats=0,0,0,0,0 races=- diags=-".into(),
             },
-            Response::Status { text: "srv.cache_hits=3\n".into() },
-            Response::Rejected { reason: "unknown tenant".into() },
-            Response::Overloaded { retry_after_ms: 250 },
+            Response::Status {
+                text: "srv.cache_hits=3\n".into(),
+            },
+            Response::Rejected {
+                reason: "unknown tenant".into(),
+            },
+            Response::Overloaded {
+                retry_after_ms: 250,
+            },
             Response::Bye,
         ];
         for resp in resps {
@@ -471,10 +491,16 @@ mod tests {
     fn bad_version_and_opcode_are_typed_errors() {
         let mut payload = Request::Status.encode();
         payload[0] = 0xff;
-        assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(0xff01)));
+        assert_eq!(
+            Request::decode(&payload),
+            Err(WireError::BadVersion(0xff01))
+        );
         let mut payload = Request::Status.encode();
         payload[2] = 0x7f;
-        assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(0x7f)));
+        assert_eq!(
+            Request::decode(&payload),
+            Err(WireError::UnknownOpcode(0x7f))
+        );
         // A request opcode is not a valid response.
         assert_eq!(
             Response::decode(&Request::Status.encode()),
@@ -488,7 +514,10 @@ mod tests {
         }
         let mut payload = Response::Bye.encode();
         payload[2] = 0x82;
-        assert_eq!(Response::decode(&payload), Err(WireError::UnknownOpcode(0x82)));
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::UnknownOpcode(0x82))
+        );
     }
 
     #[test]
@@ -505,8 +534,14 @@ mod tests {
         write_frame(&mut wire, &payload).unwrap();
         write_frame(&mut wire, &payload).unwrap();
         let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&payload[..]));
-        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&payload[..]));
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some(&payload[..])
+        );
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some(&payload[..])
+        );
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
 
         // A declared length past MAX_FRAME fails before allocation.
@@ -551,7 +586,11 @@ mod tests {
             let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             let mut sink = CountingSink::default();
             write_frame(&mut sink, &payload).unwrap();
-            assert_eq!(sink.writes, 1, "{len}-byte frame took {} writes", sink.writes);
+            assert_eq!(
+                sink.writes, 1,
+                "{len}-byte frame took {} writes",
+                sink.writes
+            );
             let mut expected = (len as u32).to_be_bytes().to_vec();
             expected.extend_from_slice(&payload);
             assert_eq!(sink.bytes, expected, "{len}-byte frame bytes");

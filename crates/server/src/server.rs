@@ -59,7 +59,7 @@ use droidracer_core::{
     run_isolated, AnalysisService, ExitClass, FaultHook, ItemError, JobReport, JobSpec,
     LocalService,
 };
-use droidracer_obs::{MetricsRegistry, MetricValue, Recorder};
+use droidracer_obs::{MetricValue, MetricsRegistry, Recorder};
 
 use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
 use crate::store::{job_key, WalStore};
@@ -288,13 +288,17 @@ fn execute_job(shared: &Shared, job: Job) {
         let mut tenants = shared.tenants.lock().unwrap();
         let state = tenants.entry(job.tenant.clone()).or_default();
         state.used_ops += report.stats.word_ops;
-        state.metrics.counter_add("hb.word_ops", report.stats.word_ops);
+        state
+            .metrics
+            .counter_add("hb.word_ops", report.stats.word_ops);
         state.metrics.counter_add("trace.ops", report.stats.ops);
         state
             .metrics
             .counter_add("races.representatives", report.counts.total() as u64);
         state.metrics.counter_add("srv.jobs", 1);
-        state.metrics.counter_add("srv.job_spans", spans.len() as u64);
+        state
+            .metrics
+            .counter_add("srv.job_spans", spans.len() as u64);
     }
     shared.bump("srv.jobs");
     if report.exit == ExitClass::Resource && !quarantined {
@@ -379,7 +383,10 @@ fn supervise_shard(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
 /// Whether an I/O error is a connection deadline expiring (both kinds
 /// occur depending on platform and socket family).
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Handles one client connection until EOF, timeout, or shutdown.
@@ -416,9 +423,11 @@ fn handle_conn(
                     reason: format!("bad request: {e}"),
                 }
             }
-            Ok(Request::Submit { tenant, spec, trace }) => {
-                submit_response(shared, shard_txs, tenant, &spec, trace)
-            }
+            Ok(Request::Submit {
+                tenant,
+                spec,
+                trace,
+            }) => submit_response(shared, shard_txs, tenant, &spec, trace),
             Ok(Request::Status) => Response::Status {
                 text: shared.render_status(),
             },

@@ -519,9 +519,16 @@ mod tests {
         let (mut store, diags) = WalStore::open(&path).unwrap();
         assert_eq!(store.stats().torn_truncated, 1);
         assert_eq!(store.stats().replayed, 1);
-        assert!(diags.iter().any(|d| d.message.contains("torn WAL tail")), "{diags:?}");
+        assert!(
+            diags.iter().any(|d| d.message.contains("torn WAL tail")),
+            "{diags:?}"
+        );
         assert_eq!(store.get(1), Some(&sample_report("whole")));
-        assert_eq!(store.get(2), None, "the in-flight record is lost, nothing else");
+        assert_eq!(
+            store.get(2),
+            None,
+            "the in-flight record is lost, nothing else"
+        );
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             whole_len as u64,

@@ -101,6 +101,9 @@ proptest! {
 #[test]
 fn wire_error_is_typed_and_displayable() {
     let err = Request::decode(&[]).unwrap_err();
-    assert!(matches!(err, WireError::Truncated | WireError::BadLength(_)));
+    assert!(matches!(
+        err,
+        WireError::Truncated | WireError::BadLength(_)
+    ));
     assert!(!err.to_string().is_empty());
 }

@@ -59,7 +59,9 @@ fn build_wal(dir: &std::path::Path, n: usize) -> (std::path::PathBuf, Vec<u8>) {
     {
         let (mut store, _) = WalStore::open(&path).unwrap();
         for i in 0..n {
-            store.insert(i as u64, report(&format!("record {i}"))).unwrap();
+            store
+                .insert(i as u64, report(&format!("record {i}")))
+                .unwrap();
         }
     }
     let bytes = std::fs::read(&path).unwrap();
@@ -97,9 +99,16 @@ fn torn_tail_at_every_byte_offset_recovers_the_durable_prefix() {
         for i in 0..4u64 {
             let got = store.get(i);
             if expect.contains(&i) {
-                assert_eq!(got, Some(&report(&format!("record {i}"))), "cut {cut} key {i}");
+                assert_eq!(
+                    got,
+                    Some(&report(&format!("record {i}"))),
+                    "cut {cut} key {i}"
+                );
             } else {
-                assert_eq!(got, None, "cut {cut} key {i} must not survive a tear before it");
+                assert_eq!(
+                    got, None,
+                    "cut {cut} key {i} must not survive a tear before it"
+                );
             }
         }
         // The truncated log is a clean append point: insert, reopen, both
@@ -107,7 +116,10 @@ fn torn_tail_at_every_byte_offset_recovers_the_durable_prefix() {
         store.insert(99, report("post-tear")).unwrap();
         drop(store);
         let (reopened, diags) = WalStore::open(&path).unwrap();
-        assert!(diags.is_empty(), "cut {cut}: second open must be clean: {diags:?}");
+        assert!(
+            diags.is_empty(),
+            "cut {cut}: second open must be clean: {diags:?}"
+        );
         assert_eq!(reopened.len(), expect.len() + 1, "cut {cut}");
         assert_eq!(reopened.get(99), Some(&report("post-tear")), "cut {cut}");
         std::fs::remove_dir_all(&case).ok();

@@ -155,7 +155,11 @@ pub fn explore_schedules_reduced(
             complete = false;
             break;
         }
-        let Frame { rt, mut sleep, steps } = frame;
+        let Frame {
+            rt,
+            mut sleep,
+            steps,
+        } = frame;
         let choices = rt.enumerate_choices();
         let fresh: Vec<Choice> = choices
             .iter()
@@ -234,8 +238,7 @@ mod tests {
     #[test]
     fn explores_all_interleavings_of_two_writers() {
         let program = two_writer_program();
-        let exploration =
-            explore_schedules(&program, &ExploreConfig::default()).expect("explores");
+        let exploration = explore_schedules(&program, &ExploreConfig::default()).expect("explores");
         assert!(exploration.complete);
         // Each thread takes 2 scheduler steps (StartThread; then one Step
         // for the write, after which the trailing exit settles in the same
@@ -266,8 +269,7 @@ mod tests {
     #[test]
     fn traces_are_pairwise_distinct() {
         let program = two_writer_program();
-        let exploration =
-            explore_schedules(&program, &ExploreConfig::default()).expect("explores");
+        let exploration = explore_schedules(&program, &ExploreConfig::default()).expect("explores");
         for (i, a) in exploration.runs.iter().enumerate() {
             for b in &exploration.runs[i + 1..] {
                 assert_ne!(a.decisions, b.decisions, "duplicate schedule explored");
@@ -289,8 +291,7 @@ mod tests {
         );
         p.set_thread_body(w, vec![Action::Write(loc)]);
         let program = p.finish().expect("valid");
-        let exploration =
-            explore_schedules(&program, &ExploreConfig::default()).expect("explores");
+        let exploration = explore_schedules(&program, &ExploreConfig::default()).expect("explores");
         assert!(exploration.complete);
         assert!(!exploration.runs.is_empty());
         for run in &exploration.runs {
@@ -466,8 +467,7 @@ mod tests {
             }],
         );
         let program = p.finish().expect("valid");
-        let exploration =
-            explore_schedules(&program, &ExploreConfig::default()).expect("explores");
+        let exploration = explore_schedules(&program, &ExploreConfig::default()).expect("explores");
         assert!(exploration.complete);
         let mut orders = std::collections::BTreeSet::new();
         for run in &exploration.runs {

@@ -213,7 +213,10 @@ impl fmt::Display for ProgramError {
         match self {
             ProgramError::NoInitialThread => write!(f, "program has no initial thread"),
             ProgramError::PostToQueuelessThread { target } => {
-                write!(f, "post targets thread definition {target} which has no queue")
+                write!(
+                    f,
+                    "post targets thread definition {target} which has no queue"
+                )
             }
             ProgramError::ForkOfInitialThread { thread } => {
                 write!(f, "fork of initial thread definition {thread}")
@@ -481,7 +484,12 @@ mod tests {
     #[test]
     fn builder_produces_consistent_program() {
         let mut p = ProgramBuilder::new();
-        let main = p.thread(ThreadSpec::app("main").kind(ThreadKind::Main).initial().with_queue());
+        let main = p.thread(
+            ThreadSpec::app("main")
+                .kind(ThreadKind::Main)
+                .initial()
+                .with_queue(),
+        );
         let bg = p.thread(ThreadSpec::app("bg"));
         let loc = p.loc("o", "C.f");
         let lock = p.lock("m");
@@ -548,7 +556,10 @@ mod tests {
         p.set_thread_body(main, vec![Action::Read(LocRef(7))]);
         assert!(matches!(
             p.finish().unwrap_err(),
-            ProgramError::DanglingReference { what: "location", .. }
+            ProgramError::DanglingReference {
+                what: "location",
+                ..
+            }
         ));
     }
 

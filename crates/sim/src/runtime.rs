@@ -13,8 +13,7 @@ use std::error::Error;
 use std::fmt;
 
 use droidracer_trace::{
-    EventId, LockId, MemLoc, Names, Op, OpKind, PostKind, TaskId, ThreadId,
-    Trace,
+    EventId, LockId, MemLoc, Names, Op, OpKind, PostKind, TaskId, ThreadId, Trace,
 };
 
 use crate::program::{Action, Injection, Program, ProgramError};
@@ -70,7 +69,10 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
             SimError::ReleaseWithoutHold { thread, lock } => {
-                write!(f, "thread `{thread}` releases lock `{lock}` it does not hold")
+                write!(
+                    f,
+                    "thread `{thread}` releases lock `{lock}` it does not hold"
+                )
             }
         }
     }
@@ -158,13 +160,17 @@ pub fn run(
         steps += 1;
     }
     let completed = rt.quiescent();
-    let blocked = if completed { Vec::new() } else { rt.blocked_summary() };
+    let blocked = if completed {
+        Vec::new()
+    } else {
+        rt.blocked_summary()
+    };
     Ok(SimResult {
         trace: Trace::from_parts(rt.names, rt.ops),
         completed,
         steps,
         decisions,
-    blocked,
+        blocked,
     })
 }
 
@@ -179,9 +185,15 @@ enum Micro {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RtState {
     Created,
-    Body { pc: usize },
+    Body {
+        pc: usize,
+    },
     LooperIdle,
-    InTask { instance: TaskId, def: usize, pc: usize },
+    InTask {
+        instance: TaskId,
+        def: usize,
+        pc: usize,
+    },
     Exited,
 }
 
@@ -235,7 +247,11 @@ impl<'p> Runtime<'p> {
                     m.push(Micro::AttachQ);
                 }
                 m.extend((0..def.body.len()).map(Micro::Act));
-                m.push(if def.spec.queue { Micro::LoopOnQ } else { Micro::Exit });
+                m.push(if def.spec.queue {
+                    Micro::LoopOnQ
+                } else {
+                    Micro::Exit
+                });
                 m
             })
             .collect();
@@ -326,17 +342,13 @@ impl<'p> Runtime<'p> {
     /// Latest running instance (index into `threads`) of a thread def that
     /// has attached its queue.
     fn post_target(&self, def: usize) -> Option<usize> {
-        self.instances[def]
-            .iter()
-            .rev()
-            .copied()
-            .find(|&i| {
-                let t = &self.threads[i];
-                matches!(
-                    t.state,
-                    RtState::Body { .. } | RtState::LooperIdle | RtState::InTask { .. }
-                ) && self.queues.contains_key(&t.id)
-            })
+        self.instances[def].iter().rev().copied().find(|&i| {
+            let t = &self.threads[i];
+            matches!(
+                t.state,
+                RtState::Body { .. } | RtState::LooperIdle | RtState::InTask { .. }
+            ) && self.queues.contains_key(&t.id)
+        })
     }
 
     fn action_enabled(&self, rt_idx: usize, action: &Action) -> bool {
@@ -379,16 +391,14 @@ impl<'p> Runtime<'p> {
         for (rt_idx, t) in self.threads.iter().enumerate() {
             match t.state {
                 RtState::Created => choices.push(Choice::StartThread(t.id)),
-                RtState::Body { pc } => {
-                    match self.micro[t.def][pc] {
-                        Micro::Act(a) => {
-                            if self.action_enabled(rt_idx, &self.program.threads[t.def].body[a]) {
-                                choices.push(Choice::Step(t.id));
-                            }
+                RtState::Body { pc } => match self.micro[t.def][pc] {
+                    Micro::Act(a) => {
+                        if self.action_enabled(rt_idx, &self.program.threads[t.def].body[a]) {
+                            choices.push(Choice::Step(t.id));
                         }
-                        _ => choices.push(Choice::Step(t.id)),
                     }
-                }
+                    _ => choices.push(Choice::Step(t.id)),
+                },
                 RtState::InTask { def, pc, .. } => {
                     let body = &self.program.tasks[def].body;
                     if pc >= body.len() || self.action_enabled(rt_idx, &body[pc]) {
@@ -408,8 +418,7 @@ impl<'p> Runtime<'p> {
                             let blocked = match entry.kind.delay() {
                                 None => earlier_nondelayed,
                                 Some(d) => {
-                                    earlier_nondelayed
-                                        || min_earlier_delay.is_some_and(|m| m <= d)
+                                    earlier_nondelayed || min_earlier_delay.is_some_and(|m| m <= d)
                                 }
                             };
                             if !blocked {
@@ -436,14 +445,8 @@ impl<'p> Runtime<'p> {
                         }
                     }
                     // Idle handlers fire only when the queue has drained.
-                    if self
-                        .queues
-                        .get(&t.id)
-                        .is_some_and(|q| q.is_empty())
-                        && self
-                            .idle_handlers
-                            .get(&t.id)
-                            .is_some_and(|h| !h.is_empty())
+                    if self.queues.get(&t.id).is_some_and(|q| q.is_empty())
+                        && self.idle_handlers.get(&t.id).is_some_and(|h| !h.is_empty())
                     {
                         choices.push(Choice::RunIdle(t.id));
                     }
@@ -515,7 +518,12 @@ impl<'p> Runtime<'p> {
                     .position(|e| e.instance == task)
                     .expect("task still queued");
                 let entry = queue.remove(pos);
-                self.emit(thread, OpKind::Begin { task: entry.instance });
+                self.emit(
+                    thread,
+                    OpKind::Begin {
+                        task: entry.instance,
+                    },
+                );
                 self.threads[rt_idx].state = RtState::InTask {
                     instance: entry.instance,
                     def: entry.def,
@@ -620,8 +628,18 @@ impl<'p> Runtime<'p> {
     fn exec_action(&mut self, rt_idx: usize, action: &Action) -> Result<(), SimError> {
         let me = self.threads[rt_idx].id;
         match *action {
-            Action::Read(l) => self.emit(me, OpKind::Read { loc: self.locs[l.0] }),
-            Action::Write(l) => self.emit(me, OpKind::Write { loc: self.locs[l.0] }),
+            Action::Read(l) => self.emit(
+                me,
+                OpKind::Read {
+                    loc: self.locs[l.0],
+                },
+            ),
+            Action::Write(l) => self.emit(
+                me,
+                OpKind::Write {
+                    loc: self.locs[l.0],
+                },
+            ),
             Action::Acquire(l) => {
                 let lock = self.lock_ids[l.0];
                 let holder = self.locks.entry(lock).or_insert((me, 0));
@@ -698,7 +716,9 @@ impl<'p> Runtime<'p> {
                 self.emit(me, OpKind::Fork { child: child_id });
             }
             Action::Join(t) => {
-                let child_rt = *self.instances[t.0].last().expect("join offered only when forked");
+                let child_rt = *self.instances[t.0]
+                    .last()
+                    .expect("join offered only when forked");
                 let child_id = self.threads[child_rt].id;
                 self.emit(me, OpKind::Join { child: child_id });
             }
@@ -747,7 +767,9 @@ impl<'p> Runtime<'p> {
                             f.global = true;
                             return f;
                         }
-                        Micro::Act(a) => Some(self.program.threads[self.threads[rt_idx].def].body[a]),
+                        Micro::Act(a) => {
+                            Some(self.program.threads[self.threads[rt_idx].def].body[a])
+                        }
                     },
                     RtState::InTask { def, pc, .. } => {
                         let body = &self.program.tasks[def].body;
@@ -806,11 +828,7 @@ impl<'p> Runtime<'p> {
                 RtState::Exited => {}
                 RtState::Created => out.push(format!("{name}: created but never scheduled")),
                 RtState::LooperIdle => {
-                    let pending = self
-                        .queues
-                        .get(&t.id)
-                        .map(|q| q.len())
-                        .unwrap_or(0);
+                    let pending = self.queues.get(&t.id).map(|q| q.len()).unwrap_or(0);
                     if pending > 0 {
                         out.push(format!("{name}: idle looper with {pending} queued task(s)"));
                     }
@@ -818,7 +836,10 @@ impl<'p> Runtime<'p> {
                 RtState::Body { pc } => {
                     let what = match self.micro[t.def].get(pc) {
                         Some(Micro::Act(a)) => {
-                            format!("blocked at body action {a}: {:?}", self.program.threads[t.def].body[*a])
+                            format!(
+                                "blocked at body action {a}: {:?}",
+                                self.program.threads[t.def].body[*a]
+                            )
                         }
                         other => format!("at micro {other:?}"),
                     };
@@ -826,9 +847,7 @@ impl<'p> Runtime<'p> {
                 }
                 RtState::InTask { instance, def, pc } => {
                     let task = self.names.task_name(instance);
-                    let what = self
-                        .program
-                        .tasks[def]
+                    let what = self.program.tasks[def]
                         .body
                         .get(pc)
                         .map(|a| format!("{a:?}"))
@@ -852,11 +871,7 @@ impl<'p> Runtime<'p> {
     pub(crate) fn quiescent(&self) -> bool {
         let threads_done = self.threads.iter().all(|t| match t.state {
             RtState::Exited => true,
-            RtState::LooperIdle => self
-                .queues
-                .get(&t.id)
-                .map(|q| q.is_empty())
-                .unwrap_or(true),
+            RtState::LooperIdle => self.queues.get(&t.id).map(|q| q.is_empty()).unwrap_or(true),
             _ => false,
         });
         let injections_done = self.pending_injections.iter().all(VecDeque::is_empty);
@@ -1129,7 +1144,10 @@ mod tests {
         p.set_thread_body(
             main,
             vec![
-                Action::AddIdle { task: idle, target: main },
+                Action::AddIdle {
+                    task: idle,
+                    target: main,
+                },
                 Action::Post {
                     task: busy,
                     target: main,
@@ -1159,7 +1177,11 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(begins, vec!["busy".to_owned(), "onIdle".to_owned()], "seed {seed}");
+            assert_eq!(
+                begins,
+                vec!["busy".to_owned(), "onIdle".to_owned()],
+                "seed {seed}"
+            );
             let enable_pos = result
                 .trace
                 .ops()
@@ -1249,11 +1271,7 @@ mod tests {
         let c = p.thread(ThreadSpec::app("c").initial());
         let m = p.lock("m");
         let loc = p.loc("o", "C.f");
-        let body = vec![
-            Action::Acquire(m),
-            Action::Write(loc),
-            Action::Release(m),
-        ];
+        let body = vec![Action::Acquire(m), Action::Write(loc), Action::Release(m)];
         p.set_thread_body(a, body.clone());
         p.set_thread_body(c, body);
         let program = p.finish().expect("valid");

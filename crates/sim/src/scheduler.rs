@@ -77,10 +77,7 @@ impl Scheduler for RoundRobinScheduler {
             Some(last) => {
                 // First choice on a thread strictly greater than `last`,
                 // wrapping around.
-                choices
-                    .iter()
-                    .position(|c| c.thread() > last)
-                    .unwrap_or(0)
+                choices.iter().position(|c| c.thread() > last).unwrap_or(0)
             }
         };
         self.last = Some(choices[pick].thread());

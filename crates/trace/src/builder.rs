@@ -142,7 +142,13 @@ impl TraceBuilder {
     }
 
     /// Appends a delayed post with timeout `delay`.
-    pub fn post_delayed(&mut self, t: ThreadId, task: TaskId, target: ThreadId, delay: u64) -> usize {
+    pub fn post_delayed(
+        &mut self,
+        t: ThreadId,
+        task: TaskId,
+        target: ThreadId,
+        delay: u64,
+    ) -> usize {
         self.post_with(t, task, target, PostKind::Delayed(delay), None)
     }
 
@@ -152,7 +158,13 @@ impl TraceBuilder {
     }
 
     /// Appends a post tagged as the handler of environment event `event`.
-    pub fn post_event(&mut self, t: ThreadId, task: TaskId, target: ThreadId, event: EventId) -> usize {
+    pub fn post_event(
+        &mut self,
+        t: ThreadId,
+        task: TaskId,
+        target: ThreadId,
+        event: EventId,
+    ) -> usize {
         self.post_with(t, task, target, PostKind::Plain, Some(event))
     }
 
@@ -285,11 +297,17 @@ mod tests {
         let trace = b.finish();
         assert!(matches!(
             trace.op(0).kind,
-            OpKind::Post { kind: PostKind::Delayed(100), .. }
+            OpKind::Post {
+                kind: PostKind::Delayed(100),
+                ..
+            }
         ));
         assert!(matches!(
             trace.op(1).kind,
-            OpKind::Post { kind: PostKind::Front, .. }
+            OpKind::Post {
+                kind: PostKind::Front,
+                ..
+            }
         ));
         assert!(matches!(
             trace.op(2).kind,

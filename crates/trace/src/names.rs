@@ -42,7 +42,12 @@ impl Names {
     }
 
     /// Declares a new thread and returns its id.
-    pub fn fresh_thread(&mut self, name: impl Into<String>, kind: ThreadKind, initial: bool) -> ThreadId {
+    pub fn fresh_thread(
+        &mut self,
+        name: impl Into<String>,
+        kind: ThreadKind,
+        initial: bool,
+    ) -> ThreadId {
         let id = ThreadId(self.threads.len() as u32);
         self.threads.push(ThreadDecl {
             name: name.into(),
@@ -175,7 +180,11 @@ impl Names {
 
     /// Renders a memory location as `object.Class.field`.
     pub fn loc_name(&self, loc: crate::ids::MemLoc) -> String {
-        format!("{}.{}", self.object_name(loc.object), self.field_name(loc.field))
+        format!(
+            "{}.{}",
+            self.object_name(loc.object),
+            self.field_name(loc.field)
+        )
     }
 }
 
@@ -250,7 +259,13 @@ impl fmt::Display for Names {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "threads: {}", self.threads.len())?;
         for (id, d) in self.threads() {
-            writeln!(f, "  {id} = {} ({}{})", d.name, d.kind, if d.initial { ", initial" } else { "" })?;
+            writeln!(
+                f,
+                "  {id} = {} ({}{})",
+                d.name,
+                d.kind,
+                if d.initial { ", initial" } else { "" }
+            )?;
         }
         writeln!(f, "tasks: {}", self.tasks.len())?;
         writeln!(f, "events: {}", self.events.len())?;
@@ -295,7 +310,11 @@ mod tests {
         let mut copy = n.clone();
         assert_eq!(copy.field("C.f1234"), FieldId(1234));
         assert_eq!(copy.field("C.new"), FieldId(3000));
-        assert_eq!(n.field("C.other"), FieldId(3000), "a clone interns on its own");
+        assert_eq!(
+            n.field("C.other"),
+            FieldId(3000),
+            "a clone interns on its own"
+        );
     }
 
     #[test]

@@ -123,8 +123,10 @@ pub(crate) fn repair(
                     diags.push(Diagnostic {
                         line: p.line,
                         span: p.span,
-                        message: format!("infeasible execution of task {task} ({kind}); \
-                             dropped through its end"),
+                        message: format!(
+                            "infeasible execution of task {task} ({kind}); \
+                             dropped through its end"
+                        ),
                         repair: Repair::TruncateTask,
                     });
                 }
@@ -151,7 +153,8 @@ fn close_at_eof(
     eof_line: usize,
     eof_span: (usize, usize),
 ) {
-    let mut executing: Vec<(ThreadId, TaskId)> = st.executing.iter().map(|(&t, &p)| (t, p)).collect();
+    let mut executing: Vec<(ThreadId, TaskId)> =
+        st.executing.iter().map(|(&t, &p)| (t, p)).collect();
     executing.sort_by_key(|&(t, _)| t);
     for (t, task) in executing {
         let end = Op::new(t, OpKind::End { task });

@@ -79,7 +79,10 @@ impl fmt::Display for ValidateErrorKind {
             ThreadNotIdle(t) => write!(f, "thread {t} begins a task while another is executing"),
             TaskNotQueued(p) => write!(f, "task {p} is not pending in the queue"),
             QueueOrderViolated { begun, blocked_by } => {
-                write!(f, "task {begun} begun before {blocked_by} in violation of queue order")
+                write!(
+                    f,
+                    "task {begun} begun before {blocked_by} in violation of queue order"
+                )
             }
             EndMismatch(p) => write!(f, "end of task {p} which is not executing"),
             LockHeldElsewhere(l, t) => write!(f, "lock {l} is held by thread {t}"),
@@ -103,7 +106,11 @@ pub struct ValidateError {
 
 impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid trace at op {} `{}`: {}", self.index, self.op, self.kind)
+        write!(
+            f,
+            "invalid trace at op {} `{}`: {}",
+            self.index, self.op, self.kind
+        )
     }
 }
 
@@ -215,7 +222,9 @@ pub(crate) fn step(st: &mut State, op: Op) -> Result<(), ValidateErrorKind> {
             }
             st.looping.insert(t);
         }
-        OpKind::Post { task, target, kind, .. } => {
+        OpKind::Post {
+            task, target, kind, ..
+        } => {
             if !st.running.contains(&target) {
                 return Err(ThreadNotRunning(target));
             }
@@ -344,7 +353,10 @@ mod tests {
         b.post(main, c, main);
         b.begin(main, c); // B overtakes A: invalid
         let err = validate(&b.finish()).unwrap_err();
-        assert!(matches!(err.kind, ValidateErrorKind::QueueOrderViolated { .. }));
+        assert!(matches!(
+            err.kind,
+            ValidateErrorKind::QueueOrderViolated { .. }
+        ));
     }
 
     #[test]

@@ -13,8 +13,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     let thread = (0u32..4).prop_map(ThreadId);
     let task = (0u32..6).prop_map(TaskId);
     let lock = (0u32..3).prop_map(LockId);
-    let loc = ((0u32..3), (0u32..4))
-        .prop_map(|(o, f)| MemLoc::new(ObjectId(o), FieldId(f)));
+    let loc = ((0u32..3), (0u32..4)).prop_map(|(o, f)| MemLoc::new(ObjectId(o), FieldId(f)));
     let kind = prop_oneof![
         Just(OpKind::ThreadInit),
         Just(OpKind::ThreadExit),
@@ -22,11 +21,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u32..4).prop_map(|t| OpKind::Join { child: ThreadId(t) }),
         Just(OpKind::AttachQ),
         Just(OpKind::LoopOnQ),
-        (task.clone(), (0u32..4), prop_oneof![
-            Just(PostKind::Plain),
-            (1u64..1000).prop_map(PostKind::Delayed),
-            Just(PostKind::Front),
-        ], proptest::option::of((0u32..3).prop_map(EventId)))
+        (
+            task.clone(),
+            (0u32..4),
+            prop_oneof![
+                Just(PostKind::Plain),
+                (1u64..1000).prop_map(PostKind::Delayed),
+                Just(PostKind::Front),
+            ],
+            proptest::option::of((0u32..3).prop_map(EventId))
+        )
             .prop_map(|(task, target, kind, event)| OpKind::Post {
                 task,
                 target: ThreadId(target),

@@ -10,7 +10,9 @@
 //!
 //! Run with `cargo run --example custom_queue_pitfall`.
 
-use droidracer::apps::{strip_untracked, verify_race, CorpusEntry, MotifBuilder, PaperRow, VerifyOutcome};
+use droidracer::apps::{
+    strip_untracked, verify_race, CorpusEntry, MotifBuilder, PaperRow, VerifyOutcome,
+};
 use droidracer::core::AnalysisBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{field}: {verdict}  — ground truth: {}", t.note);
         match outcome {
             VerifyOutcome::Reordered => assert!(t.is_true, "verified race must be planted true"),
-            VerifyOutcome::NotReordered => assert!(!t.is_true, "unverifiable race must be planted false"),
+            VerifyOutcome::NotReordered => {
+                assert!(!t.is_true, "unverifiable race must be planted false")
+            }
             VerifyOutcome::NoSuchRace => panic!("planted race on {field} was not reported"),
         }
     }
@@ -63,6 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         strip_untracked(&rerun).len()
     };
     assert_eq!(unstripped_len, rerun.len());
-    println!("\nThe detector sees {} ops; the hidden join/fork ops were scrubbed.", rerun.len());
+    println!(
+        "\nThe detector sees {} ops; the hidden join/fork ops were scrubbed.",
+        rerun.len()
+    );
     Ok(())
 }

@@ -66,10 +66,7 @@ fn main() {
         );
     }
     assert_eq!(coverage.roots.len(), 1, "one root cause: the ready flag");
-    assert_eq!(
-        names.field_name(coverage.roots[0].race.loc.field),
-        "ready"
-    );
+    assert_eq!(names.field_name(coverage.roots[0].race.loc.field), "ready");
 
     // 3. Graphviz export for visual inspection.
     let dot = to_dot(&analysis);

@@ -31,7 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_steps: 100_000,
     };
     let campaign = run_campaign(&app, &config)?;
-    println!("explored {} event sequences (k = {})", campaign.runs.len(), config.max_depth);
+    println!(
+        "explored {} event sequences (k = {})",
+        campaign.runs.len(),
+        config.max_depth
+    );
 
     let mut racy_tests = 0;
     for (events, result) in &campaign.runs {
@@ -47,12 +51,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             analysis.races().len()
         );
     }
-    println!("{racy_tests}/{} tests manifested a race", campaign.runs.len());
+    println!(
+        "{racy_tests}/{} tests manifested a race",
+        campaign.runs.len()
+    );
     assert!(racy_tests > 0, "the flusher race appears in every test");
 
     // Replay the first recorded test bit-identically from the database.
     let replayed = campaign.db.replay(&app, 0).expect("entry 0 exists")?;
     assert_eq!(replayed.trace.ops(), campaign.runs[0].1.trace.ops());
-    println!("replay of test #0 reproduced the trace exactly ({} ops)", replayed.trace.len());
+    println!(
+        "replay of test #0 reproduced the trace exactly ({} ops)",
+        replayed.trace.len()
+    );
     Ok(())
 }

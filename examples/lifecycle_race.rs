@@ -20,15 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let synced = b.var("SyncEngine-obj", "lastSynced");
 
     // A background sync worker touches both fields without synchronization.
-    let sync_worker = b.worker(
-        "sync-engine",
-        vec![Stmt::Read(state), Stmt::Write(synced)],
-    );
+    let sync_worker = b.worker("sync-engine", vec![Stmt::Read(state), Stmt::Write(synced)]);
     let service = b.service(
         "SyncService",
-        vec![],                                 // onCreate
-        vec![Stmt::ForkWorker(sync_worker)],    // onStartCommand
-        vec![],                                 // onDestroy
+        vec![],                              // onCreate
+        vec![Stmt::ForkWorker(sync_worker)], // onStartCommand
+        vec![],                              // onDestroy
     );
     b.on_create(act, vec![Stmt::Write(state), Stmt::StartService(service)]);
     b.on_pause(act, vec![Stmt::Write(state)]); // save draft
@@ -60,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Without the enable edges (events-as-threads baseline) the lifecycle
     // callbacks appear concurrent and false positives appear.
-    let baseline = AnalysisBuilder::new().mode(HbMode::EventsAsThreads).analyze(analysis.trace()).unwrap();
+    let baseline = AnalysisBuilder::new()
+        .mode(HbMode::EventsAsThreads)
+        .analyze(analysis.trace())
+        .unwrap();
     println!(
         "droidracer reports {} races; the events-as-threads baseline reports {}",
         analysis.representatives().len(),

@@ -26,28 +26,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // progress; onPostExecute checks it again before enabling PLAY.
     let file_dw_task = b.async_task(
         "FileDwTask",
-        vec![],                                          // onPreExecute: dialog.show()
+        vec![], // onPreExecute: dialog.show()
         vec![
-            Stmt::Read(flag),                            // assertTrue(!isActivityDestroyed)
-            Stmt::PublishProgress,                       // publishProgress(progress)
+            Stmt::Read(flag),      // assertTrue(!isActivityDestroyed)
+            Stmt::PublishProgress, // publishProgress(progress)
             Stmt::Read(flag),
             Stmt::PublishProgress,
         ],
-        vec![],                                          // onProgressUpdate: dialog.setProgress
-        vec![Stmt::Read(flag)],                          // onPostExecute: assert + enable PLAY
+        vec![],                 // onProgressUpdate: dialog.setProgress
+        vec![Stmt::Read(flag)], // onPostExecute: assert + enable PLAY
     );
-    b.on_create(dw_file_act, vec![Stmt::Write(flag)]);   // field initializer
+    b.on_create(dw_file_act, vec![Stmt::Write(flag)]); // field initializer
     b.on_resume(dw_file_act, vec![Stmt::ExecuteAsyncTask(file_dw_task)]);
-    b.on_destroy(dw_file_act, vec![Stmt::Write(flag)]);  // isActivityDestroyed = true
+    b.on_destroy(dw_file_act, vec![Stmt::Write(flag)]); // isActivityDestroyed = true
     let play_btn = b.button(
         dw_file_act,
         "playBtn",
-        vec![Stmt::StartActivity(play_activity)],        // onPlayClick
+        vec![Stmt::StartActivity(play_activity)], // onPlayClick
     );
     let app = b.finish();
 
     for (label, events) in [
-        ("PLAY (Figure 3)", vec![UiEvent::Widget(play_btn, UiEventKind::Click)]),
+        (
+            "PLAY (Figure 3)",
+            vec![UiEvent::Widget(play_btn, UiEventKind::Click)],
+        ),
         ("BACK (Figure 4)", vec![UiEvent::Back]),
     ] {
         println!("=== scenario: {label} ===");

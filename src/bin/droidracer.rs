@@ -49,12 +49,11 @@
 use std::process::ExitCode;
 
 use droidracer::apps;
+use droidracer::core::JobSpec;
 use droidracer::core::{
-    AnalysisBuilder, AnalysisError, Budget, HbConfig, HbMode, RaceEvent, StreamEvent,
-    StreamOptions,
+    AnalysisBuilder, AnalysisError, Budget, HbConfig, HbMode, RaceEvent, StreamEvent, StreamOptions,
 };
 use droidracer::fuzz::{corpus::replay_regressions, corpus::save_regression, FuzzConfig};
-use droidracer::core::JobSpec;
 use droidracer::obs::{chrome_trace, render_span_tree, MetricsRegistry, Recorder};
 use droidracer::server::{Client, RetryPolicy, Server, ServerConfig, Submission};
 use droidracer::trace::{
@@ -328,7 +327,10 @@ fn cmd_analyze(path: &str, opts: &AnalyzeOpts) -> Result<ExitCode, Error> {
     );
     out.push_str(&analysis.render());
     if opts.show_all {
-        out.push_str(&format!("all block-pair races: {}\n", analysis.races().len()));
+        out.push_str(&format!(
+            "all block-pair races: {}\n",
+            analysis.races().len()
+        ));
     }
     for explanation in analysis.explanations() {
         out.push_str(explanation);
@@ -369,7 +371,10 @@ fn cmd_analyze(path: &str, opts: &AnalyzeOpts) -> Result<ExitCode, Error> {
     }
     if let Some(file) = &opts.profile_file {
         let root = rec.finish_root();
-        std::fs::write(file, chrome_trace(std::slice::from_ref(&root), &analysis.metrics()))?;
+        std::fs::write(
+            file,
+            chrome_trace(std::slice::from_ref(&root), &analysis.metrics()),
+        )?;
         print!("{}", render_span_tree(&root));
         println!("profile written to {file}");
     }
@@ -433,7 +438,10 @@ fn cmd_corpus_analyze(opts: &CorpusAnalyzeOpts) -> ExitCode {
             Ok(report) => {
                 let found = report.analysis.representatives().len();
                 races += found;
-                println!("{:<16} ok: {} representative race(s), reported {}", entry.name, found, report.reported);
+                println!(
+                    "{:<16} ok: {} representative race(s), reported {}",
+                    entry.name, found, report.reported
+                );
             }
             Err(q) => {
                 quarantines += 1;
@@ -523,14 +531,11 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
 
     // Replay the committed regression corpus first: fast, deterministic,
     // and exactly what the CI smoke job gates on.
-    let regression_dir = opts
-        .regressions
-        .clone()
-        .or_else(|| {
-            std::path::Path::new(DEFAULT_REGRESSIONS)
-                .is_dir()
-                .then(|| DEFAULT_REGRESSIONS.to_owned())
-        });
+    let regression_dir = opts.regressions.clone().or_else(|| {
+        std::path::Path::new(DEFAULT_REGRESSIONS)
+            .is_dir()
+            .then(|| DEFAULT_REGRESSIONS.to_owned())
+    });
     if let Some(dir) = &regression_dir {
         let replays = replay_regressions(std::path::Path::new(dir), HbConfig::new())?;
         let mut clean = 0usize;
@@ -545,10 +550,7 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
                 }
             }
         }
-        println!(
-            "regressions: {clean}/{} clean ({dir})",
-            replays.len()
-        );
+        println!("regressions: {clean}/{} clean ({dir})", replays.len());
     }
 
     let mut rec = Recorder::new();
@@ -589,7 +591,11 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
     })
 }
 
-fn cmd_explore(entry: &apps::CorpusEntry, depth: usize, profile: Option<&str>) -> Result<ExitCode, Error> {
+fn cmd_explore(
+    entry: &apps::CorpusEntry,
+    depth: usize,
+    profile: Option<&str>,
+) -> Result<ExitCode, Error> {
     let (summary, span) = entry.explore_profiled(depth, 64, 1)?;
     println!(
         "{}: {} tests (depth {depth}), {} manifested races; {} racy locations; union {}",
@@ -646,7 +652,10 @@ fn parse_stream_opts(args: &[String]) -> Option<StreamOpts> {
                 i += 1;
             }
             "--chunk-ops" => {
-                opts.chunk_ops = args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&n| n > 0)?;
+                opts.chunk_ops = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)?;
                 i += 2;
             }
             "--summarize" => {
@@ -654,7 +663,10 @@ fn parse_stream_opts(args: &[String]) -> Option<StreamOpts> {
                 i += 1;
             }
             "--window" => {
-                opts.window = args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&n| n > 0)?;
+                opts.window = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)?;
                 i += 2;
             }
             "--quiet" => {
@@ -710,16 +722,20 @@ fn cmd_stream(path: &str, opts: &StreamOpts) -> Result<ExitCode, Error> {
     let mut line = String::new();
 
     let flush = |session: &mut droidracer::core::StreamingSession,
-                     pending: &mut Vec<droidracer::trace::Op>,
-                     names: &Names|
+                 pending: &mut Vec<droidracer::trace::Op>,
+                 names: &Names|
      -> Result<Option<ExitCode>, Error> {
         match session.push_chunk(pending) {
             Ok(events) => {
                 if !opts.quiet {
                     for ev in &events {
                         match ev {
-                            StreamEvent::Emitted(e) => print!("{}", render_stream_event('+', e, names)),
-                            StreamEvent::Retracted(e) => print!("{}", render_stream_event('-', e, names)),
+                            StreamEvent::Emitted(e) => {
+                                print!("{}", render_stream_event('+', e, names))
+                            }
+                            StreamEvent::Retracted(e) => {
+                                print!("{}", render_stream_event('-', e, names))
+                            }
                         }
                     }
                 }
@@ -837,13 +853,15 @@ fn parse_serve_opts(args: &[String]) -> Option<ServeOpts> {
                 i += 2;
             }
             "--shards" => {
-                opts.config.shards = args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&n| n > 0)?;
+                opts.config.shards = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)?;
                 i += 2;
             }
             "--tenants" => {
                 let list = args.get(i + 1)?;
-                opts.config.allowed_tenants =
-                    Some(list.split(',').map(str::to_owned).collect());
+                opts.config.allowed_tenants = Some(list.split(',').map(str::to_owned).collect());
                 i += 2;
             }
             "--max-trace-bytes" => {
@@ -867,13 +885,18 @@ fn parse_serve_opts(args: &[String]) -> Option<ServeOpts> {
                 i += 2;
             }
             "--queue-depth" => {
-                opts.config.queue_depth =
-                    args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&n| n > 0)?;
+                opts.config.queue_depth = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)?;
                 i += 2;
             }
             "--conn-timeout-ms" => {
-                opts.config.conn_timeout_ms =
-                    Some(args.get(i + 1).and_then(|s| parse_u64(s)).filter(|&n| n > 0)?);
+                opts.config.conn_timeout_ms = Some(
+                    args.get(i + 1)
+                        .and_then(|s| parse_u64(s))
+                        .filter(|&n| n > 0)?,
+                );
                 i += 2;
             }
             _ => return None,
@@ -989,8 +1012,11 @@ fn parse_submit_opts(args: &[String]) -> Option<SubmitOpts> {
                 i += 2;
             }
             "--retry-timeout-ms" => {
-                opts.retry_timeout_ms =
-                    Some(args.get(i + 1).and_then(|s| parse_u64(s)).filter(|&n| n > 0)?);
+                opts.retry_timeout_ms = Some(
+                    args.get(i + 1)
+                        .and_then(|s| parse_u64(s))
+                        .filter(|&n| n > 0)?,
+                );
                 i += 2;
             }
             "--mode" => {
@@ -1088,7 +1114,9 @@ fn main() -> ExitCode {
     };
     match command.as_str() {
         "analyze" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let Some(opts) = parse_analyze_opts(&args[2..]) else {
                 return usage();
             };
@@ -1101,7 +1129,9 @@ fn main() -> ExitCode {
             }
         }
         "validate" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             match load(path).map(|t| validate(&t)) {
                 Ok(Ok(())) => {
                     println!("ok: trace satisfies the concurrency semantics");
@@ -1118,7 +1148,9 @@ fn main() -> ExitCode {
             }
         }
         "stats" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             match load(path) {
                 Ok(t) => {
                     println!("{}", TraceStats::of(&t));
@@ -1131,7 +1163,9 @@ fn main() -> ExitCode {
             }
         }
         "corpus" => {
-            let Some(name) = args.get(1) else { return usage() };
+            let Some(name) = args.get(1) else {
+                return usage();
+            };
             if name == "--analyze" {
                 let Some(opts) = parse_corpus_analyze_opts(&args[2..]) else {
                     return usage();
@@ -1152,7 +1186,9 @@ fn main() -> ExitCode {
             let text = to_text(&trace);
             match args.get(2).map(String::as_str) {
                 Some("--out") => {
-                    let Some(file) = args.get(3) else { return usage() };
+                    let Some(file) = args.get(3) else {
+                        return usage();
+                    };
                     if let Err(e) = std::fs::write(file, text) {
                         eprintln!("cannot write {file}: {e}");
                         return ExitCode::from(EXIT_FATAL);
@@ -1165,19 +1201,25 @@ fn main() -> ExitCode {
             ExitCode::from(EXIT_CLEAN)
         }
         "explore" => {
-            let Some(name) = args.get(1) else { return usage() };
+            let Some(name) = args.get(1) else {
+                return usage();
+            };
             let mut depth = 2usize;
             let mut profile: Option<String> = None;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--profile" => {
-                        let Some(f) = args.get(i + 1) else { return usage() };
+                        let Some(f) = args.get(i + 1) else {
+                            return usage();
+                        };
                         profile = Some(f.clone());
                         i += 2;
                     }
                     d => {
-                        let Ok(parsed) = d.parse() else { return usage() };
+                        let Ok(parsed) = d.parse() else {
+                            return usage();
+                        };
                         depth = parsed;
                         i += 1;
                     }

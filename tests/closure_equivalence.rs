@@ -40,7 +40,10 @@ fn assert_closure_equivalent(trace: &Trace, config: HbConfig, context: &str) {
         inc_primary, ref_primary,
         "{context}: st/plain matrix differs from reference"
     );
-    assert_eq!(inc_mt, ref_mt, "{context}: mt matrix differs from reference");
+    assert_eq!(
+        inc_mt, ref_mt,
+        "{context}: mt matrix differs from reference"
+    );
     let (i, r) = (incremental.stats(), reference.stats());
     assert_eq!(i.base_edges, r.base_edges, "{context}: base edges");
     assert_eq!(i.trans_mt_edges, r.trans_mt_edges, "{context}: TRANS-MT");

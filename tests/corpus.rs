@@ -67,7 +67,12 @@ fn table3_reported_counts_match_exactly() {
                 entry.name
             );
         }
-        assert_eq!(report.unplanned(&entry.truth), 0, "{}: unplanned", entry.name);
+        assert_eq!(
+            report.unplanned(&entry.truth),
+            0,
+            "{}: unplanned",
+            entry.name
+        );
         assert!(
             report.misclassified(&entry.truth).is_empty(),
             "{}: misclassified {:?}",
@@ -140,7 +145,9 @@ fn coverage_triage_collapses_browser_false_positives() {
     // the 66 reports to a handful of independent roots.
     let entry = droidracer::apps::browser();
     let trace = entry.generate_trace().expect("runs");
-    let analysis = droidracer::core::AnalysisBuilder::new().analyze(&trace).unwrap();
+    let analysis = droidracer::core::AnalysisBuilder::new()
+        .analyze(&trace)
+        .unwrap();
     let report = droidracer::core::race_coverage(&analysis);
     assert_eq!(report.total(), 66);
     assert!(
@@ -156,7 +163,10 @@ fn races_are_prevalent_across_explored_tests() {
     // "For each application, DroidRacer found tests which manifested one or
     // more races" — run the systematic exploration (depth 1) on the small
     // corpus apps and check races keep appearing.
-    for entry in [droidracer::apps::aard_dictionary(), droidracer::apps::music_player()] {
+    for entry in [
+        droidracer::apps::aard_dictionary(),
+        droidracer::apps::music_player(),
+    ] {
         let summary = entry.explore(1, 8).expect("exploration runs");
         assert!(summary.tests > 0, "{}", entry.name);
         assert!(

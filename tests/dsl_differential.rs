@@ -110,7 +110,12 @@ fn dsl_traces_are_bit_identical_across_the_catalog() {
         // The default compile() path is the DSL plan; the entry's own trace
         // must be the same artifact.
         let own = entry.generate_trace().expect("entry runs");
-        assert_eq!(to_text(&a), to_text(&own), "{}: generate_trace differs", entry.name);
+        assert_eq!(
+            to_text(&a),
+            to_text(&own),
+            "{}: generate_trace differs",
+            entry.name
+        );
     }
 }
 
@@ -122,8 +127,14 @@ fn dsl_race_reports_match_under_every_hb_mode() {
         let a = trace_with_plan(&entry, &dsl);
         let b = trace_with_plan(&entry, &legacy);
         for mode in HbMode::all() {
-            let ra = AnalysisBuilder::new().mode(mode).analyze(&a).expect("analysis");
-            let rb = AnalysisBuilder::new().mode(mode).analyze(&b).expect("analysis");
+            let ra = AnalysisBuilder::new()
+                .mode(mode)
+                .analyze(&a)
+                .expect("analysis");
+            let rb = AnalysisBuilder::new()
+                .mode(mode)
+                .analyze(&b)
+                .expect("analysis");
             assert_eq!(
                 ra.races(),
                 rb.races(),

@@ -18,7 +18,10 @@ const REGRESSIONS: &str = "tests/data/fuzz_regressions";
 fn committed_regressions_replay_clean() {
     let results =
         replay_regressions(Path::new(REGRESSIONS), HbConfig::new()).expect("corpus loads");
-    assert!(!results.is_empty(), "the regression corpus must not be empty");
+    assert!(
+        !results.is_empty(),
+        "the regression corpus must not be empty"
+    );
     for (path, divergences) in results {
         assert!(
             divergences.is_empty(),

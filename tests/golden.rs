@@ -29,10 +29,7 @@ fn golden_aard_trace_analyzes_to_the_known_race() {
     assert_eq!(reps.len(), 1);
     assert_eq!(reps[0].category, RaceCategory::Multithreaded);
     assert_eq!(
-        analysis
-            .trace()
-            .names()
-            .field_name(reps[0].race.loc.field),
+        analysis.trace().names().field_name(reps[0].race.loc.field),
         "mt.f0"
     );
 }

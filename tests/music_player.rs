@@ -50,7 +50,8 @@ fn paper_trace(back: bool) -> Trace {
         b.end(t1, on_play); // 22
         b.post(t0, on_pause, t1); // 23
     }
-    b.finish_validated().expect("the Figure 3/4 trace is feasible")
+    b.finish_validated()
+        .expect("the Figure 3/4 trace is feasible")
 }
 
 #[test]
@@ -62,7 +63,10 @@ fn figure_3_trace_is_feasible_and_race_free() {
     let hb = analysis.hb();
     assert!(hb.ordered(8, 11), "edge a: fork ≺ threadinit");
     assert!(hb.ordered(13, 15), "edge b: post ≺ begin");
-    assert!(hb.ordered(10, 15), "edge c: end(LAUNCH) ≺ begin(onPostExecute)");
+    assert!(
+        hb.ordered(10, 15),
+        "edge c: end(LAUNCH) ≺ begin(onPostExecute)"
+    );
     assert!(hb.ordered(17, 19), "edge d: enable(onPlayClick) ≺ post");
     assert!(hb.ordered(21, 23), "edge e: enable(onPause) ≺ post");
 
@@ -80,14 +84,19 @@ fn figure_4_trace_has_exactly_the_two_races() {
 
     // The enable edge kills the (7,21) false positive.
     assert!(hb.ordered(9, 19), "enable(onDestroy) ≺ post(onDestroy)");
-    assert!(hb.ordered(7, 21), "LAUNCH write ≺ onDestroy write — not a race");
+    assert!(
+        hb.ordered(7, 21),
+        "LAUNCH write ≺ onDestroy write — not a race"
+    );
 
     // The two real races.
     assert!(hb.concurrent(12, 21), "background read vs onDestroy write");
-    assert!(hb.concurrent(16, 21), "onPostExecute read vs onDestroy write");
+    assert!(
+        hb.concurrent(16, 21),
+        "onPostExecute read vs onDestroy write"
+    );
     assert_eq!(analysis.races().len(), 2, "{}", analysis.render());
-    let mut categories: Vec<RaceCategory> =
-        analysis.races().iter().map(|cr| cr.category).collect();
+    let mut categories: Vec<RaceCategory> = analysis.races().iter().map(|cr| cr.category).collect();
     categories.sort();
     assert_eq!(
         categories,

@@ -15,7 +15,9 @@
 use droidracer::apps::corpus;
 use droidracer::core::{analyze_all_profiled, HbConfig};
 use droidracer::obs::json::Json;
-use droidracer::obs::{chrome_trace, render_span_tree, strip_wall_clock, MetricsRegistry, SpanRecord};
+use droidracer::obs::{
+    chrome_trace, render_span_tree, strip_wall_clock, MetricsRegistry, SpanRecord,
+};
 use droidracer::trace::{to_text, Trace};
 
 /// A synthetic profile with pinned times: the CLI's `analyze` shape.
@@ -98,7 +100,12 @@ fn chrome_trace_export_matches_schema() {
         .find(|e| e.get("name").and_then(Json::as_str) == Some("closure"))
         .expect("closure span exported");
     assert_eq!(
-        closure.get("args").unwrap().get("word_ops").unwrap().as_f64(),
+        closure
+            .get("args")
+            .unwrap()
+            .get("word_ops")
+            .unwrap()
+            .as_f64(),
         Some(12803.0)
     );
 }

@@ -114,9 +114,7 @@ fn observed_orders(
 
 /// Detector verdicts: for every location, the set of racing site pairs
 /// reported in any explored trace (normalized: both orders inserted).
-fn reported_races(
-    runs: &[droidracer::sim::SimResult],
-) -> BTreeMap<MemLoc, BTreeSet<(Site, Site)>> {
+fn reported_races(runs: &[droidracer::sim::SimResult]) -> BTreeMap<MemLoc, BTreeSet<(Site, Site)>> {
     let mut out: BTreeMap<MemLoc, BTreeSet<(Site, Site)>> = BTreeMap::new();
     for run in runs {
         let analysis = AnalysisBuilder::new().analyze(&run.trace).unwrap();

@@ -50,7 +50,12 @@ fn campaign_finds_the_cache_race_in_some_test() {
     let campaign = run_campaign(&app, &config).expect("campaign runs");
     let mut racy = 0;
     for (_, result) in &campaign.runs {
-        if !AnalysisBuilder::new().analyze(&result.trace).unwrap().races().is_empty() {
+        if !AnalysisBuilder::new()
+            .analyze(&result.trace)
+            .unwrap()
+            .races()
+            .is_empty()
+        {
             racy += 1;
         }
     }
@@ -120,12 +125,14 @@ fn vector_clock_matches_graph_mt_baseline_on_explored_traces() {
             .iter()
             .map(|r| r.loc)
             .collect();
-        let graph_locs: BTreeSet<MemLoc> =
-            AnalysisBuilder::new().mode(HbMode::MultithreadedOnly).analyze(&result.trace).unwrap()
-                .races()
-                .iter()
-                .map(|cr| cr.race.loc)
-                .collect();
+        let graph_locs: BTreeSet<MemLoc> = AnalysisBuilder::new()
+            .mode(HbMode::MultithreadedOnly)
+            .analyze(&result.trace)
+            .unwrap()
+            .races()
+            .iter()
+            .map(|cr| cr.race.loc)
+            .collect();
         assert_eq!(vc_locs, graph_locs, "sequence {events:?}");
     }
 }
@@ -143,17 +150,21 @@ fn full_mode_races_are_a_subset_of_events_as_threads() {
     };
     for events in enumerate_sequences(&app, &config) {
         let result = run_sequence(&app, &events, &config).expect("runs");
-        let full: BTreeSet<MemLoc> = AnalysisBuilder::new().analyze(&result.trace).unwrap()
+        let full: BTreeSet<MemLoc> = AnalysisBuilder::new()
+            .analyze(&result.trace)
+            .unwrap()
             .races()
             .iter()
             .map(|cr| cr.race.loc)
             .collect();
-        let baseline: BTreeSet<MemLoc> =
-            AnalysisBuilder::new().mode(HbMode::EventsAsThreads).analyze(&result.trace).unwrap()
-                .races()
-                .iter()
-                .map(|cr| cr.race.loc)
-                .collect();
+        let baseline: BTreeSet<MemLoc> = AnalysisBuilder::new()
+            .mode(HbMode::EventsAsThreads)
+            .analyze(&result.trace)
+            .unwrap()
+            .races()
+            .iter()
+            .map(|cr| cr.race.loc)
+            .collect();
         assert!(
             full.is_subset(&baseline),
             "sequence {events:?}: full ⊆ events-as-threads violated"
@@ -201,11 +212,7 @@ fn long_click_and_text_input_events_flow_through() {
     };
     let seqs = enumerate_sequences(&app, &config);
     // Both event kinds appear in the enumeration.
-    let kinds: BTreeSet<String> = seqs
-        .iter()
-        .flatten()
-        .map(|e| format!("{e}"))
-        .collect();
+    let kinds: BTreeSet<String> = seqs.iter().flatten().map(|e| format!("{e}")).collect();
     assert!(kinds.iter().any(|k| k.contains("text")), "{kinds:?}");
     assert!(kinds.iter().any(|k| k.contains("long-click")), "{kinds:?}");
     for events in &seqs {

@@ -50,13 +50,9 @@ fn build_random_app(bytes: &[u8]) -> (App, Vec<UiEvent>) {
     let mut b = AppBuilder::new("Fuzzed");
     let act = b.activity("Main");
     let n_vars = 1 + c.pick(5);
-    let vars: Vec<_> = (0..n_vars)
-        .map(|i| b.var("obj", format!("f{i}")))
-        .collect();
+    let vars: Vec<_> = (0..n_vars).map(|i| b.var("obj", format!("f{i}"))).collect();
     let n_mutexes = 1 + c.pick(2);
-    let mutexes: Vec<_> = (0..n_mutexes)
-        .map(|i| b.mutex(format!("m{i}")))
-        .collect();
+    let mutexes: Vec<_> = (0..n_mutexes).map(|i| b.mutex(format!("m{i}"))).collect();
 
     let leaf = |c: &mut Bytes| -> Stmt {
         let v = vars[c.pick(vars.len())];
@@ -214,7 +210,6 @@ fn race_keys(analysis: &Analysis) -> BTreeSet<(MemLoc, RaceCategory)> {
 fn race_locs(analysis: &Analysis) -> BTreeSet<MemLoc> {
     analysis.races().iter().map(|cr| cr.race.loc).collect()
 }
-
 
 /// Batch races over the cancellation-filtered trace, classified — the
 /// oracle for the streamed≡batch properties below.

@@ -51,7 +51,10 @@ fn served_corpus_reports_equal_direct_analysis() {
     let before = client.status().expect("status");
     for (name, text, want) in &expected {
         let sub = client.submit_trace(&spec, text).expect("submit");
-        assert!(sub.cache_hit(), "{name}: second submission missed the cache");
+        assert!(
+            sub.cache_hit(),
+            "{name}: second submission missed the cache"
+        );
         assert_eq!(sub.report(), Some(want), "{name}: cached report diverged");
     }
     let after = client.status().expect("status");
@@ -176,7 +179,10 @@ fn client_is_an_analysis_service() {
             .expect("submission succeeds")
     }
 
-    let (_, text, want) = corpus_reports().into_iter().next().expect("corpus nonempty");
+    let (_, text, want) = corpus_reports()
+        .into_iter()
+        .next()
+        .expect("corpus nonempty");
     let mut remote = Client::connect_tcp(&addr, "trait").expect("connect");
     let mut local = droidracer::core::LocalService::new();
     assert_eq!(run(&mut remote, &text), want);

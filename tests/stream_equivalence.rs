@@ -36,9 +36,11 @@ fn batch(trace: &Trace, config: HbConfig) -> (Vec<ClassifiedRace>, HappensBefore
 fn stream(trace: &Trace, config: HbConfig, options: StreamOptions, chunk: usize) -> StreamOutcome {
     let mut s = StreamingAnalysis::new(config, options);
     for piece in trace.ops().chunks(chunk.max(1)) {
-        s.push_chunk(piece).expect("unbudgeted stream cannot exhaust");
+        s.push_chunk(piece)
+            .expect("unbudgeted stream cannot exhaust");
     }
-    s.finish(trace.names()).expect("unbudgeted stream cannot exhaust")
+    s.finish(trace.names())
+        .expect("unbudgeted stream cannot exhaust")
 }
 
 /// Asserts one streamed partition reproduces the batch result. Summarized
@@ -66,9 +68,15 @@ fn assert_equiv(trace: &Trace, config: HbConfig, chunk: usize, summarize: bool, 
         "{context}: classification totals diverge (chunk={chunk})"
     );
     if summarize {
-        assert!(out.matrices.is_none(), "{context}: summarized session kept matrices");
+        assert!(
+            out.matrices.is_none(),
+            "{context}: summarized session kept matrices"
+        );
     } else {
-        let (st, mt) = out.matrices.as_ref().expect("unsummarized session returns matrices");
+        let (st, mt) = out
+            .matrices
+            .as_ref()
+            .expect("unsummarized session returns matrices");
         let (bst, bmt) = hb.relation_matrices();
         assert_eq!(st, bst, "{context}: st matrix diverges (chunk={chunk})");
         assert_eq!(
@@ -83,7 +91,10 @@ fn assert_equiv(trace: &Trace, config: HbConfig, chunk: usize, summarize: bool, 
         assert_eq!(out.stats.late_emissions, 0, "{context}: late emissions");
         assert_eq!(out.stats.retractions, 0, "{context}: retractions");
     }
-    assert!(!out.stats.degenerate, "{context}: corpus traces are well-formed");
+    assert!(
+        !out.stats.degenerate,
+        "{context}: corpus traces are well-formed"
+    );
 }
 
 /// Every corpus app at the production chunk size, with and without
@@ -104,7 +115,13 @@ fn corpus_streamed_equals_batch_chunk64() {
 fn corpus_streamed_equals_batch_whole_chunk() {
     for entry in corpus() {
         let trace = entry.generate_trace().expect("corpus entries generate");
-        assert_equiv(&trace, HbConfig::new(), trace.len().max(1), false, entry.name);
+        assert_equiv(
+            &trace,
+            HbConfig::new(),
+            trace.len().max(1),
+            false,
+            entry.name,
+        );
     }
 }
 
@@ -144,7 +161,13 @@ fn corpus_streamed_equals_batch_without_merging() {
         if trace.len() > 12_000 {
             continue;
         }
-        assert_equiv(&trace, HbConfig::new().without_merging(), 7, false, entry.name);
+        assert_equiv(
+            &trace,
+            HbConfig::new().without_merging(),
+            7,
+            false,
+            entry.name,
+        );
     }
 }
 
@@ -176,7 +199,11 @@ fn summarization_bounds_memory_on_large_entries() {
         );
         let n = hb.graph().node_count() as u64;
         let batch_bits = 2 * n * n;
-        assert!(out.stats.retired_rows > 0, "{}: nothing retired", entry.name);
+        assert!(
+            out.stats.retired_rows > 0,
+            "{}: nothing retired",
+            entry.name
+        );
         assert!(
             out.stats.peak_matrix_bits < batch_bits,
             "{}: streamed peak {} bits ≥ batch dense {} bits",
