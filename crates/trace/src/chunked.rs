@@ -14,7 +14,9 @@
 //! needs them falls back to a batch re-analysis, which the core crate's
 //! streaming session does automatically for structurally invalid streams.
 
-use crate::format::{parse_line, Cursor, Diagnostic, ParseTraceError, Repair, HEADER};
+use crate::format::{
+    parse_line, refuse_undeclared, Cursor, Diagnostic, ParseTraceError, Repair, HEADER,
+};
 use crate::names::Names;
 use crate::op::Op;
 
@@ -146,7 +148,8 @@ impl ChunkedReader {
                 self.header_seen = true;
                 continue;
             }
-            let result = parse_line(&mut cur, &mut self.names);
+            let result = parse_line(&mut cur, &mut self.names)
+                .and_then(|op| refuse_undeclared(op, &self.names));
             let (start, end) = cur.next_line();
             match result {
                 Ok(Some(op)) => ops.push(op),

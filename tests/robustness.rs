@@ -15,7 +15,7 @@ use droidracer::core::{
     AnalysisService, ExitClass, HbMode, JobReport, JobSpec, LocalService, StreamOptions,
 };
 use droidracer::fuzz::inject::{corrupt, storm};
-use droidracer::trace::to_text;
+use droidracer::trace::{to_text, ChunkedReader, Repair};
 
 /// Corruptions per corpus trace. Debug builds run a reduced storm so the
 /// plain `cargo test` gate stays fast; CI's `Release test suites` step runs
@@ -128,6 +128,78 @@ fn invalid_but_parseable_traces_never_panic_the_engines() {
             .submit(&validating, text)
             .expect("in-process submit");
         assert_eq!(rejected.exit, ExitClass::Invalid, "{name}: {rejected:?}");
+    }
+}
+
+/// Traces that name a thread or task their declarations do not, with ids
+/// so large that a table indexed by them could not be allocated: a begun
+/// task, a forked thread and a posted task. The syntax pass refuses such an
+/// op, so every front door ends in a typed report, and the process lives.
+fn undeclared_id_traces() -> [(&'static str, String); 3] {
+    let head = "droidracer-trace v1\n\
+        thread t0 main initial \"main\"\n\
+        task p0 \"a\"\n\
+        op threadinit t0\n\
+        op attachQ t0\n\
+        op loopOnQ t0\n";
+    [
+        (
+            "undeclared begun task",
+            format!("{head}op post t0 p0 t0\nop begin t0 p400000000\nop end t0 p400000000\n"),
+        ),
+        (
+            "undeclared forked thread",
+            format!("{head}op fork t0 t300000000\nop threadinit t300000000\n"),
+        ),
+        (
+            "undeclared posted task",
+            format!("{head}op post t0 p400000000 t0\n"),
+        ),
+    ]
+}
+
+#[test]
+fn undeclared_thread_and_task_ids_yield_typed_reports() {
+    let mut service = LocalService::new();
+    for (name, text) in undeclared_id_traces() {
+        for validate in [false, true] {
+            let strict = JobSpec {
+                validate,
+                ..JobSpec::default()
+            };
+            let report = service.submit(&strict, &text).expect("in-process submit");
+            assert_eq!(report.exit, ExitClass::Invalid, "{name}: {report:?}");
+            assert!(
+                report.diagnostics.iter().any(|d| d.contains("undeclared")),
+                "{name}: {report:?}"
+            );
+        }
+        let lenient = JobSpec {
+            lenient: true,
+            ..JobSpec::default()
+        };
+        let report = service.submit(&lenient, &text).expect("in-process submit");
+        assert_eq!(report.exit, ExitClass::Clean, "{name}: {report:?}");
+        assert!(
+            report.diagnostics.iter().any(|d| d.contains("undeclared")),
+            "{name}: {report:?}"
+        );
+
+        let mut reader = ChunkedReader::new();
+        let mut ops = reader.push_text(&text).expect("header present");
+        let (names, rest, diags) = reader.finish().expect("header present");
+        ops.extend(rest);
+        assert!(
+            !diags.is_empty() && diags.iter().all(|d| d.repair == Repair::SkipOp),
+            "{name}: {diags:?}"
+        );
+        let mut session = JobSpec::default()
+            .builder()
+            .streaming(StreamOptions::default());
+        session.push_chunk(&ops).expect("no budget");
+        let outcome = session.finish(&names).expect("no budget").outcome;
+        let streamed = JobReport::from_stream(&outcome, &names, Vec::new());
+        assert_eq!(streamed.exit, ExitClass::Clean, "{name}: {streamed:?}");
     }
 }
 
