@@ -1,7 +1,7 @@
 //! Dependency-free parallel fan-out with deterministic, input-order merge.
 //!
 //! DroidRacer's detection phase is offline and embarrassingly parallel
-//! across traces: each [`Analysis`](crate::Analysis) touches only its own
+//! across traces: each [`Analysis`] touches only its own
 //! trace, so a batch of traces can be analyzed on a pool of worker threads
 //! with no shared mutable state. The only real hazard of parallelizing an
 //! analysis pipeline is *nondeterministic output* — results arriving in

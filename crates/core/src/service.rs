@@ -299,8 +299,8 @@ pub struct JobStats {
     pub streamed: bool,
 }
 
-/// The uniform result of one analysis job, whichever engine ran it. See
-/// the [module documentation](self).
+/// The uniform result of one analysis job, whichever engine ran it, as
+/// every [`AnalysisService`] returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReport {
     /// How the job ended.

@@ -102,9 +102,8 @@ impl From<BudgetExhausted> for AnalysisError {
 
 /// Builder-style entry point for one race-detection session.
 ///
-/// See the [module documentation](self) for an example. All setters take
-/// and return `self`, so a session reads as one expression; the terminal
-/// operation is [`AnalysisBuilder::analyze`].
+/// All setters take and return `self`, so a session reads as one
+/// expression; the terminal operation is [`AnalysisBuilder::analyze`].
 #[derive(Clone, Default)]
 pub struct AnalysisBuilder {
     config: HbConfig,

@@ -21,8 +21,8 @@
 //! 6. [`corpus`] folds the iteration's feature set into the coverage map
 //!    that biases step 1 of later iterations.
 //!
-//! Failing inputs are minimized by [`shrink`] and written as plain-text
-//! regression traces. The whole session is a pure function of
+//! Failing inputs are minimized by [`shrink`](mod@shrink) and written as
+//! plain-text regression traces. The whole session is a pure function of
 //! [`FuzzConfig::seed`] (when no wall-clock budget cuts it short), and
 //! every failure report prints the seeds needed to reproduce it.
 

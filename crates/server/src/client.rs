@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use droidracer_core::{AnalysisService, JobReport, JobSpec};
 
-use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
+use crate::protocol::{read_frame, write_frame, Conn, Request, RequestRef, Response};
 
 /// Where the client (re)connects to.
 #[derive(Debug, Clone)]
@@ -307,17 +307,18 @@ impl Client {
         Ok(())
     }
 
-    fn roundtrip(&mut self, request: &Request) -> io::Result<Response> {
+    /// Sends one encoded request and reads its response.
+    fn roundtrip(&mut self, payload: &[u8]) -> io::Result<Response> {
         if self.conn.is_none() {
             self.reconnect()?;
         }
         let conn = self.conn.as_mut().expect("reconnect just succeeded");
         let result = (|| {
-            write_frame(conn, &request.encode())?;
-            let payload = read_frame(conn)?.ok_or_else(|| {
+            write_frame(conn, payload)?;
+            let reply = read_frame(conn)?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
             })?;
-            Ok(Response::decode(&payload)?)
+            Ok(Response::decode(&reply)?)
         })();
         if result.is_err() {
             // Whatever happened, the framing on this connection can no
@@ -396,12 +397,13 @@ impl Client {
     }
 
     fn submit_trace_once(&mut self, spec: &JobSpec, trace_text: &str) -> io::Result<Submission> {
-        let response = self.roundtrip(&Request::Submit {
-            tenant: self.tenant.clone(),
-            spec: spec.to_token(),
-            trace: trace_text.as_bytes().to_vec(),
-        })?;
-        Self::expect_report(response)
+        let payload = RequestRef::Submit {
+            tenant: &self.tenant,
+            spec: &spec.to_token(),
+            trace: trace_text.as_bytes(),
+        }
+        .encode();
+        Self::expect_report(self.roundtrip(&payload)?)
     }
 
     /// Submits one whole trace and waits for the verdict, retrying per the
@@ -423,7 +425,7 @@ impl Client {
     ///
     /// Transport failures only.
     pub fn status(&mut self) -> io::Result<String> {
-        match self.roundtrip(&Request::Status)? {
+        match self.roundtrip(&Request::Status.encode())? {
             Response::Status { text } => Ok(text),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -438,7 +440,7 @@ impl Client {
     ///
     /// Transport failures only.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        match self.roundtrip(&Request::Shutdown)? {
+        match self.roundtrip(&Request::Shutdown.encode())? {
             Response::Bye => Ok(()),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

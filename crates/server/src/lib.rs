@@ -34,8 +34,9 @@ pub mod store;
 
 pub use chaos::{run_soak, ChaosPlan, ChaosReport, Scenario};
 pub use client::{Client, ClientStats, RetryPolicy, Submission};
-pub use protocol::{Request, Response, WireError, MAX_FRAME, WIRE_VERSION};
+pub use protocol::{Request, RequestRef, Response, WireError, MAX_FRAME, WIRE_VERSION};
 pub use server::{status_counter, Server, ServerConfig};
 pub use store::{
-    job_key, wal_record_ranges, wal_torn_tail_bytes, Fnv64, StoreDiagnostic, WalStats, WalStore,
+    job_key, wal_record_ranges, wal_torn_tail_bytes, CacheKey, Fnv64, Sip, StoreDiagnostic,
+    WalStats, WalStore,
 };

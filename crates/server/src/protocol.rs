@@ -13,7 +13,7 @@
 //! version independently.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -25,7 +25,8 @@ pub const WIRE_VERSION: u16 = 1;
 /// Hard cap on one frame's payload, before any allocation happens.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// A client-to-server message.
+/// A client-to-server message that owns its fields. [`RequestRef`] is the
+/// same message borrowing them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Analyze one whole trace. `spec` is a `JobSpec` token; `trace` is the
@@ -41,6 +42,26 @@ pub enum Request {
     /// Ask for the server's metrics snapshot.
     Status,
     /// Ask the server to shut down cleanly (persisting its result cache).
+    Shutdown,
+}
+
+/// A client-to-server message whose fields borrow from the caller (to
+/// encode) or from the payload (decoded), so a trace crosses the codec
+/// without a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// See [`Request::Submit`].
+    Submit {
+        /// Tenant the job is accounted to.
+        tenant: &'a str,
+        /// `JobSpec::to_token` encoding of the job options.
+        spec: &'a str,
+        /// Trace text bytes.
+        trace: &'a [u8],
+    },
+    /// See [`Request::Status`].
+    Status,
+    /// See [`Request::Shutdown`].
     Shutdown,
 }
 
@@ -134,32 +155,60 @@ const OP_REJECTED: u8 = 0x84;
 const OP_BYE: u8 = 0x85;
 const OP_OVERLOADED: u8 = 0x86;
 
+/// The big-endian `u32` length prefix of a frame carrying `payload`.
+///
+/// # Errors
+///
+/// `InvalidInput` when the payload exceeds [`MAX_FRAME`].
+fn frame_prefix(payload: &[u8]) -> io::Result<[u8; 4]> {
+    u32::try_from(payload.len())
+        .ok()
+        .filter(|&n| n <= MAX_FRAME)
+        .map(u32::to_be_bytes)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"))
+}
+
 /// One frame's wire bytes: the big-endian `u32` length prefix followed by
-/// the payload, in a single buffer.
+/// the payload, in a single buffer. [`write_frame`] sends the same bytes
+/// without building this buffer.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when the payload exceeds [`MAX_FRAME`].
 pub fn frame(payload: &[u8]) -> io::Result<Vec<u8>> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&n| n <= MAX_FRAME)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"))?;
+    let prefix = frame_prefix(payload)?;
     let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_be_bytes());
+    framed.extend_from_slice(&prefix);
     framed.extend_from_slice(payload);
     Ok(framed)
 }
 
-/// Writes one frame (length prefix + payload) with a single `write_all`.
+/// Writes one frame (length prefix + payload) with one vectored write,
+/// continuing where a partial write stopped.
 ///
 /// Splitting the prefix and the payload into two writes would stall every
 /// round trip on TCP: Nagle holds the payload until the peer ACKs the
 /// 4-byte prefix, and the peer — blocked reading the payload — delays
-/// that ACK (~40 ms on Linux). One write per frame, plus `TCP_NODELAY` on
-/// every stream the client dials and the server accepts, avoids it.
+/// that ACK (~40 ms on Linux). One `writev` per frame, plus `TCP_NODELAY`
+/// on every stream the client dials and the server accepts, avoids it
+/// without copying the payload behind the prefix.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame(payload)?)?;
+    let prefix = frame_prefix(payload)?;
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -224,9 +273,16 @@ struct BodyWriter {
     buf: Vec<u8>,
 }
 
+/// The encoded length of a length-prefixed field holding `data`.
+fn field_len(data: &[u8]) -> usize {
+    4 + data.len()
+}
+
 impl BodyWriter {
-    fn new(opcode: u8) -> Self {
-        let mut buf = Vec::with_capacity(64);
+    /// A payload for `opcode` whose fields take `body_len` bytes, which is
+    /// allocated up front so the fields are copied in once.
+    fn new(opcode: u8, body_len: usize) -> Self {
+        let mut buf = Vec::with_capacity(3 + body_len);
         buf.extend_from_slice(&WIRE_VERSION.to_be_bytes());
         buf.push(opcode);
         BodyWriter { buf }
@@ -307,16 +363,16 @@ impl<'a> BodyReader<'a> {
         Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()?;
         if len as usize > self.buf.len().saturating_sub(self.pos) {
             return Err(WireError::BadLength(len));
         }
-        Ok(self.take(len as usize)?.to_vec())
+        self.take(len as usize)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
+    fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
 
     fn close(self) -> Result<(), WireError> {
@@ -328,22 +384,89 @@ impl<'a> BodyReader<'a> {
     }
 }
 
-impl Request {
-    /// Encodes the message as a frame payload (version + opcode + body).
+impl<'a> RequestRef<'a> {
+    /// Encodes the message as a frame payload (version + opcode + body),
+    /// allocated at its exact size.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Submit {
+        match *self {
+            RequestRef::Submit {
                 tenant,
                 spec,
                 trace,
             } => {
-                let mut w = BodyWriter::new(OP_SUBMIT);
+                let body_len =
+                    field_len(tenant.as_bytes()) + field_len(spec.as_bytes()) + field_len(trace);
+                let mut w = BodyWriter::new(OP_SUBMIT, body_len);
                 w.str(tenant).str(spec).bytes(trace);
                 w.done()
             }
-            Request::Status => BodyWriter::new(OP_STATUS).done(),
-            Request::Shutdown => BodyWriter::new(OP_SHUTDOWN).done(),
+            RequestRef::Status => BodyWriter::new(OP_STATUS, 0).done(),
+            RequestRef::Shutdown => BodyWriter::new(OP_SHUTDOWN, 0).done(),
         }
+    }
+
+    /// Decodes a frame payload into fields that borrow from it.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`WireError`] for any malformed payload; never panics.
+    pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
+        let (mut r, opcode) = BodyReader::open(payload)?;
+        let req = match opcode {
+            OP_SUBMIT => RequestRef::Submit {
+                tenant: r.str()?,
+                spec: r.str()?,
+                trace: r.bytes()?,
+            },
+            OP_STATUS => RequestRef::Status,
+            OP_SHUTDOWN => RequestRef::Shutdown,
+            other => return Err(WireError::UnknownOpcode(other)),
+        };
+        r.close()?;
+        Ok(req)
+    }
+}
+
+impl<'a> From<&'a Request> for RequestRef<'a> {
+    fn from(request: &'a Request) -> Self {
+        match request {
+            Request::Submit {
+                tenant,
+                spec,
+                trace,
+            } => RequestRef::Submit {
+                tenant,
+                spec,
+                trace,
+            },
+            Request::Status => RequestRef::Status,
+            Request::Shutdown => RequestRef::Shutdown,
+        }
+    }
+}
+
+impl From<RequestRef<'_>> for Request {
+    fn from(request: RequestRef<'_>) -> Self {
+        match request {
+            RequestRef::Submit {
+                tenant,
+                spec,
+                trace,
+            } => Request::Submit {
+                tenant: tenant.to_owned(),
+                spec: spec.to_owned(),
+                trace: trace.to_vec(),
+            },
+            RequestRef::Status => Request::Status,
+            RequestRef::Shutdown => Request::Shutdown,
+        }
+    }
+}
+
+impl Request {
+    /// Encodes the message as a frame payload (version + opcode + body).
+    pub fn encode(&self) -> Vec<u8> {
+        RequestRef::from(self).encode()
     }
 
     /// Decodes a frame payload.
@@ -352,19 +475,7 @@ impl Request {
     ///
     /// A typed [`WireError`] for any malformed payload; never panics.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let (mut r, opcode) = BodyReader::open(payload)?;
-        let req = match opcode {
-            OP_SUBMIT => Request::Submit {
-                tenant: r.str()?,
-                spec: r.str()?,
-                trace: r.bytes()?,
-            },
-            OP_STATUS => Request::Status,
-            OP_SHUTDOWN => Request::Shutdown,
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        r.close()?;
-        Ok(req)
+        RequestRef::decode(payload).map(Request::from)
     }
 }
 
@@ -373,26 +484,26 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Response::Report { cache_hit, record } => {
-                let mut w = BodyWriter::new(OP_REPORT);
+                let mut w = BodyWriter::new(OP_REPORT, 1 + field_len(record.as_bytes()));
                 w.u8(u8::from(*cache_hit)).str(record);
                 w.done()
             }
             Response::Status { text } => {
-                let mut w = BodyWriter::new(OP_STATUS_REPLY);
+                let mut w = BodyWriter::new(OP_STATUS_REPLY, field_len(text.as_bytes()));
                 w.str(text);
                 w.done()
             }
             Response::Rejected { reason } => {
-                let mut w = BodyWriter::new(OP_REJECTED);
+                let mut w = BodyWriter::new(OP_REJECTED, field_len(reason.as_bytes()));
                 w.str(reason);
                 w.done()
             }
             Response::Overloaded { retry_after_ms } => {
-                let mut w = BodyWriter::new(OP_OVERLOADED);
+                let mut w = BodyWriter::new(OP_OVERLOADED, 8);
                 w.u64(*retry_after_ms);
                 w.done()
             }
-            Response::Bye => BodyWriter::new(OP_BYE).done(),
+            Response::Bye => BodyWriter::new(OP_BYE, 0).done(),
         }
     }
 
@@ -406,10 +517,14 @@ impl Response {
         let resp = match opcode {
             OP_REPORT => Response::Report {
                 cache_hit: r.u8()? != 0,
-                record: r.str()?,
+                record: r.str()?.to_owned(),
             },
-            OP_STATUS_REPLY => Response::Status { text: r.str()? },
-            OP_REJECTED => Response::Rejected { reason: r.str()? },
+            OP_STATUS_REPLY => Response::Status {
+                text: r.str()?.to_owned(),
+            },
+            OP_REJECTED => Response::Rejected {
+                reason: r.str()?.to_owned(),
+            },
             OP_OVERLOADED => Response::Overloaded {
                 retry_after_ms: r.u64()?,
             },
@@ -522,7 +637,7 @@ mod tests {
 
     #[test]
     fn bad_utf8_is_a_typed_error() {
-        let mut w = BodyWriter::new(OP_REJECTED);
+        let mut w = BodyWriter::new(OP_REJECTED, 6);
         w.bytes(&[0xff, 0xfe]);
         assert_eq!(Response::decode(&w.done()), Err(WireError::BadUtf8));
     }

@@ -12,21 +12,24 @@
 //! * every job runs inside [`droidracer_core::run_isolated`] — a panicking
 //!   worker is quarantined into a `Resource` report and the shard thread
 //!   survives;
-//! * every job's spec is clamped to the server's per-job [`Budget`] caps
-//!   and to the tenant's remaining cumulative word-ops quota, so runaway
-//!   inputs hit a typed `Resource` cutoff;
+//! * every job's spec is clamped to the server's per-job
+//!   [`Budget`](droidracer_core::Budget) caps and to the tenant's
+//!   remaining cumulative word-ops quota, so runaway inputs hit a typed
+//!   `Resource` cutoff;
 //! * results of completed jobs land in the content-addressed result
-//!   cache, keyed by spec token + trace bytes — a resubmission is
-//!   answered from the cache with zero recomputation (the tenant's
-//!   `hb.word_ops` counter does not move).
+//!   cache, keyed by a digest of spec token + trace bytes under the
+//!   cache's secret [`CacheKey`] — a resubmission is answered from the
+//!   cache with zero recomputation (the tenant's `hb.word_ops` counter
+//!   does not move).
 //!
 //! On top of per-job isolation the serving layer degrades gracefully under
 //! infrastructure faults:
 //!
 //! * **admission control** — each shard's queue is bounded
-//!   ([`ServerConfig::queue_depth`]); when it fills, jobs are shed with a
-//!   typed [`Response::Overloaded`] carrying a retry-after hint instead of
-//!   queueing unboundedly (`srv.overloaded`);
+//!   ([`ServerConfig::queue_depth`](ServerConfig#structfield.queue_depth));
+//!   when it fills, jobs are shed with a typed [`Response::Overloaded`]
+//!   carrying a retry-after hint instead of queueing unboundedly
+//!   (`srv.overloaded`);
 //! * **connection deadlines** — [`ServerConfig::conn_timeout_ms`] bounds
 //!   every read and write, so a stalled peer costs one timeout, not a
 //!   pinned thread forever (`srv.conn_timeouts`);
@@ -43,8 +46,10 @@
 //! executed job's deterministic counters (`hb.word_ops`, `trace.ops`,
 //! representative race counts) are absorbed into the owning tenant's
 //! registry, and the `srv.*` service counters are kept both globally and
-//! per tenant. [`Request::Status`] renders the whole picture as
-//! `key=value` lines.
+//! per tenant. [`Request::Status`](crate::protocol::Request::Status)
+//! renders the whole picture as `key=value` lines, including per-layer
+//! latency histograms (`srv.layer.*_us`) beside each request's total
+//! (`srv.request_us`).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -61,8 +66,8 @@ use droidracer_core::{
 };
 use droidracer_obs::{MetricValue, MetricsRegistry, Recorder};
 
-use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
-use crate::store::{job_key, WalStore};
+use crate::protocol::{read_frame, write_frame, Conn, RequestRef, Response};
+use crate::store::{CacheKey, Fnv64, WalStore};
 
 /// The retry-after hint sent with [`Response::Overloaded`].
 const RETRY_AFTER_MS: u64 = 100;
@@ -162,6 +167,9 @@ impl Cache {
 /// State shared by the acceptor, connection handlers and shard workers.
 struct Shared {
     config: ServerConfig,
+    /// The key of `cache`'s digests, copied out so a request takes its
+    /// digest without holding the cache lock.
+    key: CacheKey,
     cache: Mutex<Cache>,
     tenants: Mutex<BTreeMap<String, TenantState>>,
     metrics: Mutex<MetricsRegistry>,
@@ -182,8 +190,26 @@ impl Shared {
             .counter_add(key, delta);
     }
 
-    fn observe(&self, key: &str, value: u64) {
-        self.metrics.lock().unwrap().observe(key, value);
+    /// Records one answered request: its total latency and each layer it
+    /// reached, under one metrics lock.
+    fn observe_request(&self, total_us: u64, layers: &Layers) {
+        let mut metrics = self
+            .metrics
+            .lock()
+            .expect("no thread panics holding the metrics lock");
+        metrics.observe("srv.request_us", total_us);
+        for (name, us) in [
+            ("srv.layer.decode_us", Some(layers.decode)),
+            ("srv.layer.key_us", layers.key),
+            ("srv.layer.cache_us", layers.cache),
+            ("srv.layer.job_us", layers.job),
+            ("srv.layer.insert_us", layers.insert),
+            ("srv.layer.reply_us", Some(layers.reply)),
+        ] {
+            if let Some(us) = us {
+                metrics.observe(name, us);
+            }
+        }
     }
 
     /// Renders the status snapshot: global `srv.*` metrics first, then
@@ -311,10 +337,15 @@ fn execute_job(shared: &Shared, job: Job) {
     let _ = job.reply.send(report);
 }
 
-/// The shard a tenant's jobs are routed to: a stable hash of the tenant
-/// name modulo the shard count.
+/// The shard a tenant's jobs are routed to: FNV-1a over `tenant-shard`, a
+/// zero byte and the tenant name, modulo the shard count. Unlike the
+/// cache digest it is unkeyed, so a tenant keeps its shard across
+/// restarts.
 fn shard_of(tenant: &str, shards: usize) -> usize {
-    (job_key("tenant-shard", tenant.as_bytes()) % shards as u64) as usize
+    let mut h = Fnv64::new();
+    h.update(b"tenant-shard\0");
+    h.update(tenant.as_bytes());
+    (h.finish() % shards as u64) as usize
 }
 
 /// The job the shard worker is executing right now, published so the
@@ -389,6 +420,30 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
+/// Microseconds one answered request spent in each server layer; `None`
+/// for a layer it did not reach. The frame read is not a layer here: it
+/// blocks on an idle connection.
+#[derive(Default)]
+struct Layers {
+    /// Decoding the request payload.
+    decode: u64,
+    /// The digest of spec token and trace.
+    key: Option<u64>,
+    /// The cache lookup, with the record's encoding on a hit.
+    cache: Option<u64>,
+    /// A miss's queue wait plus its analysis.
+    job: Option<u64>,
+    /// A miss's cache insert (the fsynced WAL append when persistent).
+    insert: Option<u64>,
+    /// Encoding the response and writing its frame.
+    reply: u64,
+}
+
+/// Microseconds since `since`.
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
+}
+
 /// Handles one client connection until EOF, timeout, or shutdown.
 fn handle_conn(
     shared: &Shared,
@@ -414,7 +469,12 @@ fn handle_conn(
         // response: decode, admission, queue wait, analysis or cache
         // lookup, the WAL insert, encode and write.
         let started = Instant::now();
-        let response = match Request::decode(&payload) {
+        let request = RequestRef::decode(&payload);
+        let mut layers = Layers {
+            decode: micros(started),
+            ..Layers::default()
+        };
+        let response = match request {
             // Typed decode errors are answered, not fatal: the framing is
             // intact, so the conversation can continue.
             Err(e) => {
@@ -423,32 +483,37 @@ fn handle_conn(
                     reason: format!("bad request: {e}"),
                 }
             }
-            Ok(Request::Submit {
+            Ok(RequestRef::Submit {
                 tenant,
                 spec,
                 trace,
-            }) => submit_response(shared, shard_txs, tenant, &spec, trace),
-            Ok(Request::Status) => Response::Status {
+            }) => submit_response(shared, shard_txs, tenant, spec, trace, &mut layers),
+            Ok(RequestRef::Status) => Response::Status {
                 text: shared.render_status(),
             },
-            Ok(Request::Shutdown) => {
+            Ok(RequestRef::Shutdown) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 let _ = write_frame(&mut conn, &Response::Bye.encode());
                 wake();
                 return;
             }
         };
+        let encoding = Instant::now();
+        let reply = response.encode();
+        layers.reply = micros(encoding);
         // Linux charges a running thread's time to the process CPU clock
         // only at a scheduling event; yield so an in-process client that
         // reads it once the reply lands counts this request (DESIGN §15).
         std::thread::yield_now();
-        if let Err(e) = write_frame(&mut conn, &response.encode()) {
+        let writing = Instant::now();
+        if let Err(e) = write_frame(&mut conn, &reply) {
             if is_timeout(&e) {
                 shared.bump("srv.conn_timeouts");
             }
             return;
         }
-        shared.observe("srv.request_us", started.elapsed().as_micros() as u64);
+        layers.reply += micros(writing);
+        shared.observe_request(micros(started), &layers);
     }
 }
 
@@ -470,17 +535,20 @@ fn parse_spec(token: &str) -> Result<JobSpec, String> {
 }
 
 /// Full submit path: admission → cache → bounded shard dispatch → durable
-/// cache fill. The cache insert (WAL append + fsync when persistent)
-/// happens *before* the `Response` is returned for framing, so a response
-/// the client managed to read always refers to a durable result.
+/// cache fill. The fields borrow from the request frame: a hit copies no
+/// trace byte, and a miss copies the text once, into its job. The cache
+/// insert (WAL append + fsync when persistent) happens *before* the
+/// `Response` is returned for framing, so a response the client managed
+/// to read always refers to a durable result.
 fn submit_response(
     shared: &Shared,
     shard_txs: &[mpsc::SyncSender<Job>],
-    tenant: String,
+    tenant: &str,
     spec_token: &str,
-    trace: Vec<u8>,
+    trace: &[u8],
+    layers: &mut Layers,
 ) -> Response {
-    let admitted = admit(shared, &tenant)
+    let admitted = admit(shared, tenant)
         .and_then(|()| parse_spec(spec_token))
         .and_then(|spec| {
             if trace.len() > shared.config.max_trace_bytes() {
@@ -490,7 +558,7 @@ fn submit_response(
                     shared.config.max_trace_bytes()
                 ));
             }
-            String::from_utf8(trace)
+            std::str::from_utf8(trace)
                 .map(|text| (spec, text))
                 .map_err(|_| "trace is not valid UTF-8".to_owned())
         });
@@ -503,32 +571,43 @@ fn submit_response(
     };
 
     // Content-addressed cache: same spec token + same trace bytes, same
-    // report.
-    let key = job_key(spec_token, text.as_bytes());
-    if let Some(report) = shared.cache.lock().unwrap().get(key) {
+    // report. The digest is taken before the cache lock.
+    let keying = Instant::now();
+    let key = shared.key.digest(spec_token, trace);
+    layers.key = Some(micros(keying));
+    let looking = Instant::now();
+    let hit = shared
+        .cache
+        .lock()
+        .expect("no thread panics holding the cache lock")
+        .get(key)
+        .map(JobReport::to_record);
+    layers.cache = Some(micros(looking));
+    if let Some(record) = hit {
         shared.bump("srv.cache_hits");
-        shared.bump_tenant(&tenant, "srv.cache_hits", 1);
+        shared.bump_tenant(tenant, "srv.cache_hits", 1);
         return Response::Report {
             cache_hit: true,
-            record: report.to_record(),
+            record,
         };
     }
 
     let (reply_tx, reply_rx) = mpsc::channel();
-    let shard = shard_of(&tenant, shard_txs.len());
+    let shard = shard_of(tenant, shard_txs.len());
     let job = Job {
-        tenant: tenant.clone(),
+        tenant: tenant.to_owned(),
         spec,
-        trace_text: text,
+        trace_text: text.to_owned(),
         reply: reply_tx,
     };
     // Bounded admission: a full queue sheds the job *before* any work or
     // cache mutation, so the client can resubmit with no duplication risk.
+    let queued = Instant::now();
     match shard_txs[shard].try_send(job) {
         Ok(()) => {}
         Err(mpsc::TrySendError::Full(_)) => {
             shared.bump("srv.overloaded");
-            shared.bump_tenant(&tenant, "srv.overloaded", 1);
+            shared.bump_tenant(tenant, "srv.overloaded", 1);
             return Response::Overloaded {
                 retry_after_ms: RETRY_AFTER_MS,
             };
@@ -547,12 +626,20 @@ fn submit_response(
             }
         }
     };
+    layers.job = Some(micros(queued));
     // Cache completed analyses, durably (fsynced) when the cache is
     // WAL-backed — this runs before the response frame is written, so an
     // acknowledged report is a recoverable report. Resource reports depend
     // on quota state at execution time, so they are not memoizable.
     if report.exit != ExitClass::Resource {
-        match shared.cache.lock().unwrap().insert(key, report.clone()) {
+        let inserting = Instant::now();
+        let stored = shared
+            .cache
+            .lock()
+            .expect("no thread panics holding the cache lock")
+            .insert(key, report.clone());
+        layers.insert = Some(micros(inserting));
+        match stored {
             Ok(()) => shared.bump("srv.cache_stores"),
             Err(_) => {
                 // The disk failed under the WAL; the result still serves
@@ -576,7 +663,7 @@ enum Listener {
 /// A bound (but not yet running) analysis server.
 pub struct Server {
     listener: Listener,
-    shared: Arc<Shared>,
+    config: ServerConfig,
 }
 
 impl Server {
@@ -589,7 +676,7 @@ impl Server {
     pub fn bind_tcp(addr: &str, config: ServerConfig) -> io::Result<Server> {
         Ok(Server {
             listener: Listener::Tcp(TcpListener::bind(addr)?),
-            shared: Arc::new(Shared::new(config)),
+            config,
         })
     }
 
@@ -605,7 +692,7 @@ impl Server {
         }
         Ok(Server {
             listener: Listener::Unix(UnixListener::bind(path)?, path.to_owned()),
-            shared: Arc::new(Shared::new(config)),
+            config,
         })
     }
 
@@ -617,11 +704,13 @@ impl Server {
         }
     }
 
-    /// Serves until a [`Request::Shutdown`] arrives, then drains the
-    /// shard queues. Opens the durable store first: the log is replayed,
-    /// truncating any torn tail; a foreign header and damaged records are
-    /// skipped (counted under `srv.cache_load_skipped`), and the same open
-    /// compacts them out of the file. Shutdown leaves the log as it is:
+    /// Serves until a [`Request::Shutdown`](crate::protocol::Request::Shutdown)
+    /// arrives, then drains the shard queues. Opens the durable store
+    /// first: the log is replayed, truncating any torn tail; a foreign
+    /// header and damaged records are skipped (counted under
+    /// `srv.cache_load_skipped`), and the same open compacts them out of
+    /// the file. The server digests jobs under the log's key; without a
+    /// log, under a fresh random key. Shutdown leaves the log as it is:
     /// every acknowledged result is already in it.
     ///
     /// # Errors
@@ -629,19 +718,30 @@ impl Server {
     /// Fatal listener or cache-I/O errors only; per-connection errors drop
     /// that connection.
     pub fn run(self) -> io::Result<()> {
-        let shared = self.shared;
-        if let Some(path) = &shared.config.cache_path {
-            let (wal, diags) = WalStore::open(path)?;
-            let stats = wal.stats();
-            let mut metrics = shared.metrics.lock().unwrap();
-            metrics.counter_add("srv.cache_load_skipped", diags.len() as u64);
-            metrics.counter_add("srv.cache_preloaded", wal.len() as u64);
-            metrics.counter_add("srv.wal_replayed", stats.replayed);
-            metrics.counter_add("srv.wal_skipped", stats.skipped);
-            metrics.counter_add("srv.wal_torn_truncated", stats.torn_truncated);
-            drop(metrics);
-            *shared.cache.lock().unwrap() = Cache::Wal(wal);
-        }
+        let Server { listener, config } = self;
+        let mut metrics = MetricsRegistry::new();
+        let (cache, key) = match &config.cache_path {
+            Some(path) => {
+                let (wal, diags) = WalStore::open(path)?;
+                let stats = wal.stats();
+                metrics.counter_add("srv.cache_load_skipped", diags.len() as u64);
+                metrics.counter_add("srv.cache_preloaded", wal.len() as u64);
+                metrics.counter_add("srv.wal_replayed", stats.replayed);
+                metrics.counter_add("srv.wal_skipped", stats.skipped);
+                metrics.counter_add("srv.wal_torn_truncated", stats.torn_truncated);
+                let key = wal.key();
+                (Cache::Wal(wal), key)
+            }
+            None => (Cache::Mem(BTreeMap::new()), CacheKey::random()),
+        };
+        let shared = Arc::new(Shared {
+            config,
+            key,
+            cache: Mutex::new(cache),
+            tenants: Mutex::new(BTreeMap::new()),
+            metrics: Mutex::new(metrics),
+            shutdown: AtomicBool::new(false),
+        });
         let shards = shared.config.shards();
         let depth = shared.config.queue_depth();
         let mut shard_txs = Vec::with_capacity(shards);
@@ -651,7 +751,7 @@ impl Server {
             shard_txs.push(tx);
             shard_rxs.push(Arc::new(Mutex::new(rx)));
         }
-        let wake: Arc<dyn Fn() + Send + Sync> = match &self.listener {
+        let wake: Arc<dyn Fn() + Send + Sync> = match &listener {
             Listener::Tcp(l) => {
                 let addr = l.local_addr()?;
                 Arc::new(move || {
@@ -673,7 +773,7 @@ impl Server {
         }
         let conn_timeout = shared.config.conn_timeout_ms.map(Duration::from_millis);
         loop {
-            let conn: Box<dyn Conn> = match &self.listener {
+            let conn: Box<dyn Conn> = match &listener {
                 Listener::Tcp(l) => Box::new(l.accept()?.0),
                 Listener::Unix(l, _) => Box::new(l.accept()?.0),
             };
@@ -696,26 +796,15 @@ impl Server {
             let _ = supervisor.join();
         }
 
-        if let Listener::Unix(_, path) = &self.listener {
+        if let Listener::Unix(_, path) = &listener {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
     }
 }
 
-impl Shared {
-    fn new(config: ServerConfig) -> Self {
-        Shared {
-            config,
-            cache: Mutex::new(Cache::Mem(BTreeMap::new())),
-            tenants: Mutex::new(BTreeMap::new()),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Parses one counter out of a [`Request::Status`] snapshot.
+/// Parses one counter out of a
+/// [`Request::Status`](crate::protocol::Request::Status) snapshot.
 pub fn status_counter(status_text: &str, key: &str) -> Option<u64> {
     status_text.lines().find_map(|line| {
         let (k, v) = line.split_once('=')?;
@@ -746,6 +835,26 @@ mod tests {
             .map(|t| shard_of(t, 4))
             .collect();
         assert!(hits.len() > 1, "all tenants on one shard of 4");
+    }
+
+    /// Routing is unkeyed FNV-1a: these are the shards earlier versions,
+    /// which hashed with the cache's then-unkeyed digest, routed each
+    /// tenant to, so neither the keyed digest nor a restart moves one.
+    #[test]
+    fn shard_routing_is_pinned() {
+        for (tenant, of_2, of_3) in [
+            ("alpha", 0, 2),
+            ("beta", 0, 2),
+            ("gamma", 1, 2),
+            ("hostile", 0, 1),
+            ("victim", 0, 2),
+            ("polite", 1, 1),
+            ("mallory", 0, 0),
+            ("", 0, 2),
+        ] {
+            assert_eq!(shard_of(tenant, 2), of_2, "`{tenant}` of 2 shards");
+            assert_eq!(shard_of(tenant, 3), of_3, "`{tenant}` of 3 shards");
+        }
     }
 
     #[test]

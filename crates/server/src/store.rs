@@ -2,8 +2,11 @@
 //! checksummed log at the cache path.
 //!
 //! An entry maps a 64-bit content digest (spec token + trace bytes, see
-//! [`job_key`]) to a `JobReport` record; equal digests mean equal work, so
-//! a hit returns the stored report with zero recomputation.
+//! [`CacheKey::digest`]) to a `JobReport` record; equal digests mean equal
+//! work, so a hit returns the stored report with zero recomputation. The
+//! digest is SipHash-1-3 under a random 128-bit [`CacheKey`] that the log
+//! keeps in its header, so nobody who lacks the key can build two traces
+//! with one digest.
 //!
 //! Every insert is appended to the log and fsynced *before* the caller
 //! proceeds (i.e. before the server acknowledges the job), so a `kill -9`
@@ -21,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -60,15 +64,138 @@ impl Default for Fnv64 {
     }
 }
 
-/// The cache key of one job: a digest over the spec token, a separator,
-/// and the raw trace bytes. The separator keeps `("ab", "c")` and
-/// `("a", "bc")` from colliding trivially.
+/// SipHash with `C` compression rounds per 8-byte word and `D`
+/// finalization rounds, under a 128-bit key `(k0, k1)`. Cache digests use
+/// `Sip<1, 3>`; `Sip<2, 4>` is the published SipHash-2-4, which pins the
+/// code both share against its test vectors.
+#[derive(Debug, Clone, Copy)]
+pub struct Sip<const C: usize, const D: usize> {
+    v: [u64; 4],
+    /// Bytes absorbed since the last whole word, little-endian.
+    tail: u64,
+    /// How many bytes `tail` holds (0..8).
+    tail_len: usize,
+    /// Bytes absorbed in all; its low byte goes into the last word.
+    len: u64,
+}
+
+impl<const C: usize, const D: usize> Sip<C, D> {
+    /// A fresh hasher under the key `(k0, k1)`.
+    pub fn new(k0: u64, k1: u64) -> Self {
+        Sip {
+            v: [
+                k0 ^ 0x736f_6d65_7073_6575,
+                k1 ^ 0x646f_7261_6e64_6f6d,
+                k0 ^ 0x6c79_6765_6e65_7261,
+                k1 ^ 0x7465_6462_7974_6573,
+            ],
+            tail: 0,
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    /// One SipRound. Its two halves are interleaved as in std's
+    /// `SipHasher`: written one half after the other, the 1-3 digest ran
+    /// about 8% slower on x86-64.
+    #[inline(always)]
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[1]);
+        v[0] = v[0].wrapping_add(v[3]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].rotate_left(32);
+    }
+
+    #[inline(always)]
+    fn compress(v: &mut [u64; 4], word: u64) {
+        v[3] ^= word;
+        for _ in 0..C {
+            Self::round(v);
+        }
+        v[0] ^= word;
+    }
+
+    /// Absorbs `bytes`; any split of a message across calls gives the
+    /// same digest.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.tail_len > 0 {
+            let fill = (8 - self.tail_len).min(bytes.len());
+            for (i, &b) in bytes[..fill].iter().enumerate() {
+                self.tail |= u64::from(b) << (8 * (self.tail_len + i));
+            }
+            self.tail_len += fill;
+            bytes = &bytes[fill..];
+            if self.tail_len < 8 {
+                return;
+            }
+            Self::compress(&mut self.v, self.tail);
+            self.tail = 0;
+            self.tail_len = 0;
+        }
+        let mut v = self.v;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            Self::compress(
+                &mut v,
+                u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            );
+        }
+        self.v = v;
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.tail |= u64::from(b) << (8 * i);
+        }
+        self.tail_len = words.remainder().len();
+    }
+
+    /// The digest of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
+        let mut v = self.v;
+        Self::compress(&mut v, self.len << 56 | self.tail);
+        v[2] ^= 0xff;
+        for _ in 0..D {
+            Self::round(&mut v);
+        }
+        v[0] ^ v[1] ^ v[2] ^ v[3]
+    }
+}
+
+/// The secret 128-bit key a cache takes its digests under. A log keeps its
+/// key in its header (a reopened log answers the digests it was filled
+/// with); an in-memory cache takes a fresh one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheKey(u64, u64);
+
+impl CacheKey {
+    /// A fresh random key: two outputs of a newly seeded `RandomState`,
+    /// which draws its seed from the operating system.
+    pub fn random() -> Self {
+        let state = RandomState::new();
+        CacheKey(state.hash_one(0u8), state.hash_one(1u8))
+    }
+
+    /// The cache key of one job: SipHash-1-3 under this key over the spec
+    /// token, a separator, and the raw trace bytes. The separator keeps
+    /// `("ab", "c")` and `("a", "bc")` from colliding trivially.
+    pub fn digest(self, spec_token: &str, trace_bytes: &[u8]) -> u64 {
+        let mut h = Sip::<1, 3>::new(self.0, self.1);
+        h.update(spec_token.as_bytes());
+        h.update(&[0]);
+        h.update(trace_bytes);
+        h.finish()
+    }
+}
+
+/// [`CacheKey::digest`] under the all-zero key: the same work per byte as
+/// a served request's key, for callers that hold no cache.
 pub fn job_key(spec_token: &str, trace_bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(spec_token.as_bytes());
-    h.update(&[0]);
-    h.update(trace_bytes);
-    h.finish()
+    CacheKey::default().digest(spec_token, trace_bytes)
 }
 
 /// One problem found while opening a persisted store. Opening never fails
@@ -89,10 +216,46 @@ impl fmt::Display for StoreDiagnostic {
     }
 }
 
-/// Header line of the log; replay of a file with any other first line
-/// starts the log over (the cache is a pure memo, so dropping it only
-/// costs recomputation, never correctness).
-const WAL_HEADER: &str = "droidracer-wal v2\n";
+/// Start of the log's header line. The whole line is
+/// `droidracer-wal v3 <k0:016x><k1:016x> <sum:016x>\n`: the log's
+/// [`CacheKey`], then the FNV-1a checksum of everything before it on the
+/// line. Replay of a file with any other first line, or a header that
+/// fails its checksum, starts the log over under a fresh key (the cache
+/// is a pure memo, so dropping it only costs recomputation, never
+/// correctness).
+const WAL_MAGIC: &str = "droidracer-wal v3 ";
+
+/// Length of the header part the checksum covers: magic, key and a space.
+const WAL_SUMMED_HEADER: usize = WAL_MAGIC.len() + 32 + 1;
+
+/// Byte length of the whole header line.
+const WAL_HEADER_LEN: usize = WAL_SUMMED_HEADER + 16 + 1;
+
+/// The header line of a log under `key`.
+fn wal_header(key: CacheKey) -> Vec<u8> {
+    let mut line = format!("{WAL_MAGIC}{:016x}{:016x} ", key.0, key.1).into_bytes();
+    let mut sum = Fnv64::new();
+    sum.update(&line);
+    line.extend_from_slice(format!("{:016x}\n", sum.finish()).as_bytes());
+    line
+}
+
+/// The key of a log image whose header is whole and passes its checksum.
+fn wal_header_key(bytes: &[u8]) -> Option<CacheKey> {
+    let header = bytes.get(..WAL_HEADER_LEN)?;
+    if !header.starts_with(WAL_MAGIC.as_bytes())
+        || header[WAL_SUMMED_HEADER - 1] != b' '
+        || header[WAL_HEADER_LEN - 1] != b'\n'
+    {
+        return None;
+    }
+    let k0 = wal_hex(&header[WAL_MAGIC.len()..WAL_MAGIC.len() + 16])?;
+    let k1 = wal_hex(&header[WAL_MAGIC.len() + 16..WAL_SUMMED_HEADER - 1])?;
+    let sum = wal_hex(&header[WAL_SUMMED_HEADER..WAL_HEADER_LEN - 1])?;
+    let mut check = Fnv64::new();
+    check.update(&header[..WAL_SUMMED_HEADER]);
+    (check.finish() == sum).then_some(CacheKey(k0, k1))
+}
 
 /// Fixed byte length of one WAL record's prefix:
 /// `R <key:016x> <len:08x> <sum:016x> ` — marker, three hex fields, four
@@ -190,10 +353,10 @@ fn wal_next_record(bytes: &[u8], from: usize) -> Option<WalRecord> {
 /// aim disk faults at precise record boundaries.
 pub fn wal_record_ranges(bytes: &[u8]) -> Vec<Range<usize>> {
     let mut ranges = Vec::new();
-    if !bytes.starts_with(WAL_HEADER.as_bytes()) {
+    if wal_header_key(bytes).is_none() {
         return ranges;
     }
-    let mut pos = WAL_HEADER.len();
+    let mut pos = WAL_HEADER_LEN;
     while let Some(record) = wal_next_record(bytes, pos) {
         pos = record.body.end + 1;
         ranges.push(record.body);
@@ -229,6 +392,7 @@ pub struct WalStats {
 /// See the [module docs](self) for the durability contract.
 #[derive(Debug)]
 pub struct WalStore {
+    key: CacheKey,
     mem: BTreeMap<u64, JobReport>,
     path: PathBuf,
     wal: File,
@@ -239,19 +403,21 @@ impl WalStore {
     /// Opens (or creates) the log at `path`, replays it into memory,
     /// truncates any torn tail so appends resume at a clean boundary,
     /// rewrites the log if replay found dead records, and leaves it open
-    /// for appending. A `<path>.tmp` left by a compaction that a crash
-    /// interrupted is removed first.
+    /// for appending. The store adopts the key in the log's header; a new
+    /// or restarted log gets a fresh random key. A `<path>.tmp` left by a
+    /// compaction that a crash interrupted is removed first.
     ///
     /// # Errors
     ///
-    /// Genuine I/O failures only; every *content* problem (a foreign
-    /// header, damaged or torn records) becomes a diagnostic.
+    /// Genuine I/O failures only; every *content* problem (a foreign or
+    /// damaged header, damaged or torn records) becomes a diagnostic.
     pub fn open(path: &Path) -> io::Result<(Self, Vec<StoreDiagnostic>)> {
         match std::fs::remove_file(tmp_path(path)) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
         let mut store = WalStore {
+            key: CacheKey::random(),
             mem: BTreeMap::new(),
             path: path.to_owned(),
             wal: OpenOptions::new()
@@ -275,23 +441,32 @@ impl WalStore {
         let mut bytes = Vec::new();
         self.wal.seek(SeekFrom::Start(0))?;
         self.wal.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            // A new log: its directory entry must be durable too.
-            self.wal.write_all(WAL_HEADER.as_bytes())?;
+        let Some(key) = wal_header_key(&bytes) else {
+            // A new log, or one this version cannot read: start it under
+            // the fresh key the store was opened with.
+            if !bytes.is_empty() {
+                let message = if bytes.starts_with(WAL_MAGIC.as_bytes()) {
+                    "WAL header is torn or fails its checksum; restarting the log"
+                } else {
+                    "unrecognized WAL header; restarting the log"
+                };
+                diags.push(StoreDiagnostic {
+                    line: 1,
+                    message: message.to_owned(),
+                });
+                self.truncate_to(0)?;
+            }
+            self.wal.write_all(&wal_header(self.key))?;
             self.wal.sync_data()?;
-            return sync_dir(&self.path);
-        }
-        if !bytes.starts_with(WAL_HEADER.as_bytes()) {
-            diags.push(StoreDiagnostic {
-                line: 1,
-                message: "unrecognized WAL header; restarting the log".to_owned(),
-            });
-            self.truncate_to(0)?;
-            self.wal.write_all(WAL_HEADER.as_bytes())?;
-            self.wal.sync_data()?;
-            return Ok(());
-        }
-        let mut pos = WAL_HEADER.len();
+            // A new log's directory entry must be durable too.
+            return if bytes.is_empty() {
+                sync_dir(&self.path)
+            } else {
+                Ok(())
+            };
+        };
+        self.key = key;
+        let mut pos = WAL_HEADER_LEN;
         let mut span_no = 0usize;
         let mut dead = 0usize;
         while pos < bytes.len() {
@@ -357,6 +532,12 @@ impl WalStore {
         self.wal.sync_data()
     }
 
+    /// The key this log's digests are taken under: pass it to
+    /// [`CacheKey::digest`] to look up or insert a job.
+    pub fn key(&self) -> CacheKey {
+        self.key
+    }
+
     /// Cached reports currently in memory.
     pub fn len(&self) -> usize {
         self.mem.len()
@@ -418,7 +599,7 @@ impl WalStore {
     /// continue through the temp file's handle, which now names the log.
     fn compact(&mut self) -> io::Result<()> {
         let tmp = tmp_path(&self.path);
-        let mut bytes = WAL_HEADER.as_bytes().to_vec();
+        let mut bytes = wal_header(self.key);
         for (key, report) in &self.mem {
             bytes.extend_from_slice(&wal_encode(*key, report.to_record().as_bytes()));
         }
@@ -459,6 +640,44 @@ mod tests {
 
     fn sample_report(diag: &str) -> JobReport {
         JobReport::aborted(ExitClass::Invalid, diag)
+    }
+
+    /// The published SipHash-2-4 vectors (Aumasson and Bernstein, appendix
+    /// A): key `00..0f`, messages `00..(n-1)`, digests read little-endian.
+    #[test]
+    fn sip24_matches_the_published_vectors() {
+        let (k0, k1) = (0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);
+        let message: Vec<u8> = (0..15).collect();
+        for (len, want) in [(0, 0x726f_db47_dd0e_0e31), (15, 0xa129_ca61_49be_45e5)] {
+            let mut h = Sip::<2, 4>::new(k0, k1);
+            h.update(&message[..len]);
+            assert_eq!(h.finish(), want, "{len}-byte message");
+        }
+    }
+
+    proptest::proptest! {
+        /// `Sip<2, 4>` is std's (deprecated) `SipHasher` for any key and
+        /// message, however the message is split across `update` calls.
+        #[test]
+        fn sip24_matches_std(
+            k0 in proptest::prelude::any::<u64>(),
+            k1 in proptest::prelude::any::<u64>(),
+            message in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..100),
+            cuts in proptest::collection::vec(0usize..100, 0..4),
+        ) {
+            #[allow(deprecated)]
+            let mut want = std::hash::SipHasher::new_with_keys(k0, k1);
+            std::hash::Hasher::write(&mut want, &message);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(message.len())).collect();
+            cuts.sort_unstable();
+            let mut got = Sip::<2, 4>::new(k0, k1);
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([message.len()]) {
+                got.update(&message[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(got.finish(), std::hash::Hasher::finish(&want));
+        }
     }
 
     #[test]
@@ -641,7 +860,7 @@ mod tests {
             diags[0].message.contains("unrecognized WAL header"),
             "{diags:?}"
         );
-        assert_eq!(std::fs::read(&path).unwrap(), WAL_HEADER.as_bytes());
+        assert_eq!(std::fs::read(&path).unwrap(), wal_header(store.key()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -674,7 +893,7 @@ mod tests {
     fn compaction_drops_dead_records() {
         let dir = temp_dir("compact");
         let path = dir.join("cache.txt");
-        {
+        let cache_key = {
             let (mut store, _) = WalStore::open(&path).unwrap();
             for key in 1..=4 {
                 store.insert(key, sample_report("old")).unwrap();
@@ -683,7 +902,8 @@ mod tests {
             store.insert(1, sample_report("new")).unwrap();
             store.insert(3, sample_report("new")).unwrap();
             assert_eq!(store.stats().compactions, 0, "appends never compact");
-        }
+            store.key()
+        };
         // A damaged record: key 2's record fails its checksum on replay.
         let mut bytes = std::fs::read(&path).unwrap();
         let ranges = wal_record_ranges(&bytes);
@@ -697,7 +917,8 @@ mod tests {
         assert_eq!(store.len(), 3);
         let tmp = dir.join("cache.txt.tmp");
         assert!(!tmp.exists(), "the temp file was renamed over the log");
-        let mut live = WAL_HEADER.as_bytes().to_vec();
+        assert_eq!(store.key(), cache_key, "compaction keeps the log's key");
+        let mut live = wal_header(cache_key);
         for (key, tag) in [(1, "new"), (3, "new"), (4, "old")] {
             live.extend_from_slice(&wal_encode(key, sample_report(tag).to_record().as_bytes()));
         }

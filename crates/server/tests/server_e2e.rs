@@ -74,6 +74,46 @@ fn submit_twice_second_is_cache_hit() {
     server.join().expect("join").expect("clean run");
 }
 
+/// One miss and one hit: both take a digest and a cache lookup, only the
+/// miss queues a job and inserts its report, and every answered request
+/// is decoded and replied to.
+#[test]
+fn layer_histograms_count_what_each_request_reached() {
+    let (addr, server) = start_tcp(ServerConfig::default());
+    let mut client = Client::connect_tcp(&addr, "alice").expect("connect");
+    let text = racy_text();
+    assert!(!client
+        .submit_trace(&JobSpec::default(), &text)
+        .unwrap()
+        .cache_hit());
+    assert!(client
+        .submit_trace(&JobSpec::default(), &text)
+        .unwrap()
+        .cache_hit());
+    let status = client.status().expect("status");
+    for (layer, count) in [
+        ("decode", 2),
+        ("key", 2),
+        ("cache", 2),
+        ("job", 1),
+        ("insert", 1),
+        ("reply", 2),
+    ] {
+        let name = format!("srv.layer.{layer}_us");
+        assert_eq!(
+            status_counter(&status, &format!("{name}.count")),
+            Some(count),
+            "{status}"
+        );
+        let p50 = status_counter(&status, &format!("{name}.p50_le")).expect("p50");
+        let p99 = status_counter(&status, &format!("{name}.p99_le")).expect("p99");
+        assert!(p50 <= p99, "{status}");
+    }
+    client.shutdown().expect("shutdown");
+    drop(client);
+    server.join().expect("join").expect("clean run");
+}
+
 /// Many small round trips on one reused TCP connection must cost
 /// microseconds each, not the ~40 ms of a Nagle + delayed-ACK stall (which
 /// a frame split over two writes without `TCP_NODELAY` pays every time).

@@ -126,7 +126,7 @@ pub fn explore_schedules(
 /// *conflicting* operations — is still visited. Sleep sets are the classic
 /// sound reduction underlying dynamic partial-order reduction.
 ///
-/// Independence is judged by [`Runtime::footprint`]: transitions on
+/// Independence is judged by `Runtime::footprint`: transitions on
 /// different threads commute unless they touch a common memory location
 /// (with a write), lock, looper queue or enable set.
 ///
