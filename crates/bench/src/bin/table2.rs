@@ -5,11 +5,9 @@
 //!
 //! Run with `cargo run --release -p droidracer-bench --bin table2`.
 
-use droidracer_apps::corpus;
-use droidracer_bench::{maybe_export_profile, vs, TextTable};
-use droidracer_core::{default_threads, par_map_profiled};
+use droidracer_bench::{maybe_export_profile, table2_rows, TextTable};
+use droidracer_core::default_threads;
 use droidracer_obs::MetricsRegistry;
-use droidracer_trace::TraceStats;
 
 fn main() {
     let mut table = TextTable::new([
@@ -22,46 +20,19 @@ fn main() {
     ]);
     println!("Table 2: statistics about applications and traces");
     println!("(measured on the synthetic corpus; paper-reported numbers in parentheses)\n");
-    // Trace generation is per-entry work: fan it out, render in corpus order.
-    let entries = corpus();
-    let (traces, span) = par_map_profiled(&entries, default_threads(), "generate", |entry, rec| {
-        let trace = entry.generate_trace();
-        if let Ok(t) = &trace {
-            rec.counter("ops", t.len() as u64);
-        }
-        trace
-    });
+    let (rows, span) = table2_rows(default_threads());
     let mut registry = MetricsRegistry::new();
     let mut was_open_source = true;
-    for (entry, trace) in entries.iter().zip(traces) {
-        if was_open_source && !entry.open_source {
+    for row in &rows {
+        if was_open_source && !row.open_source {
             table.rule();
             was_open_source = false;
         }
-        let trace = match trace {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{}: {e}", entry.name);
-                continue;
-            }
-        };
-        let stats = TraceStats::of(&trace);
+        let stats = &row.measured;
         registry.counter_add("trace.ops", stats.trace_length as u64);
         registry.counter_add("trace.fields", stats.fields as u64);
         registry.counter_add("trace.async_tasks", stats.async_tasks as u64);
-        let p = &entry.paper;
-        let name = match p.loc {
-            Some(loc) => format!("{} ({loc})", entry.name),
-            None => entry.name.to_owned(),
-        };
-        table.row([
-            name,
-            vs(stats.trace_length, p.trace_length),
-            vs(stats.fields, p.fields),
-            vs(stats.threads_without_queues, p.threads_without_queues),
-            vs(stats.threads_with_queues, p.threads_with_queues),
-            vs(stats.async_tasks, p.async_tasks),
-        ]);
+        table.row(row.cells());
     }
     println!("{}", table.render());
     maybe_export_profile(&span, &registry);

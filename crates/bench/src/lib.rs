@@ -9,8 +9,10 @@
 
 use std::fmt::Display;
 
-use droidracer_core::EngineStats;
+use droidracer_apps::{corpus, PaperRow};
+use droidracer_core::{par_map_profiled, EngineStats};
 use droidracer_obs::{chrome_trace, render_span_tree, MetricsRegistry, SpanRecord};
+use droidracer_trace::TraceStats;
 
 /// Exports a bench run's profile when the `DR_PROFILE` environment variable
 /// names an output path: writes the Chrome `trace_event` JSON there and
@@ -141,6 +143,71 @@ pub fn engine_stats_table<'a>(
         table.row(cells("TOTAL", &total));
     }
     table
+}
+
+/// One row of Table 2 (experiment E1): an application's trace statistics,
+/// measured on its corpus trace and as the paper reports them.
+#[derive(Debug, Clone)]
+pub struct Table2Row {
+    /// The application's name.
+    pub name: &'static str,
+    /// Whether the original is open source; Table 2 rules off the others.
+    pub open_source: bool,
+    /// The statistics of the generated trace.
+    pub measured: TraceStats,
+    /// The paper's numbers.
+    pub paper: PaperRow,
+}
+
+impl Table2Row {
+    /// The row's cells: the application (with its lines of code when the
+    /// paper gives them), then trace length, fields, threads without and
+    /// with task queues, and asynchronous tasks, each `measured (paper)`.
+    pub fn cells(&self) -> [String; 6] {
+        let (m, p) = (&self.measured, &self.paper);
+        [
+            match p.loc {
+                Some(loc) => format!("{} ({loc})", self.name),
+                None => self.name.to_owned(),
+            },
+            vs(m.trace_length, p.trace_length),
+            vs(m.fields, p.fields),
+            vs(m.threads_without_queues, p.threads_without_queues),
+            vs(m.threads_with_queues, p.threads_with_queues),
+            vs(m.async_tasks, p.async_tasks),
+        ]
+    }
+}
+
+/// Table 2's rows in corpus order, generating the traces on `threads`
+/// workers, with the span of that generation. An app whose trace fails to
+/// generate is reported on stderr and has no row.
+pub fn table2_rows(threads: usize) -> (Vec<Table2Row>, SpanRecord) {
+    let entries = corpus();
+    let (traces, span) = par_map_profiled(&entries, threads, "generate", |entry, rec| {
+        let trace = entry.generate_trace();
+        if let Ok(t) = &trace {
+            rec.counter("ops", t.len() as u64);
+        }
+        trace
+    });
+    let rows = entries
+        .into_iter()
+        .zip(traces)
+        .filter_map(|(entry, trace)| match trace {
+            Ok(t) => Some(Table2Row {
+                name: entry.name,
+                open_source: entry.open_source,
+                measured: TraceStats::of(&t),
+                paper: entry.paper,
+            }),
+            Err(e) => {
+                eprintln!("{}: {e}", entry.name);
+                None
+            }
+        })
+        .collect();
+    (rows, span)
 }
 
 /// Formats `measured` next to the paper's number as `measured (paper)`.

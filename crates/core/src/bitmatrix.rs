@@ -216,17 +216,6 @@ impl BitMatrix {
         hi - lo
     }
 
-    /// ORs an external word slice into row `dst`. Returns `true` on change.
-    pub fn or_words_into(&mut self, words: &[u64], dst: usize) -> bool {
-        let range = self.row_range(dst);
-        if let Some((wlo, whi)) = simd::or_into_track(&mut self.bits[range], words) {
-            self.widen(dst, wlo, whi);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Iterates over the set bit positions of row `i`, scanning only its
     /// bounded word range.
     pub fn iter_row(&self, i: usize) -> BitIter<'_> {
@@ -495,17 +484,6 @@ mod tests {
         m.set(1, 290);
         assert_eq!(m.row_bounds(1), (2, 5));
         assert_eq!(m.iter_row(1).collect::<Vec<_>>(), vec![170, 290]);
-    }
-
-    #[test]
-    fn or_words_into_reports_change() {
-        let mut m = BitMatrix::new(70);
-        let mut set = BitSet::new(70);
-        set.insert(69);
-        assert!(m.or_words_into(set.words(), 4));
-        assert!(!m.or_words_into(set.words(), 4));
-        assert!(m.get(4, 69));
-        assert_eq!(m.iter_row(4).collect::<Vec<_>>(), vec![69]);
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //! producing new `≺st` edges, so the whole computation is a worklist
 //! fixpoint: saturate transitivity, fire generator rules, repeat until no
 //! rule adds an edge. The generators run as one sweep per looper
-//! ([`crate::generators`]); the reference engine keeps the pair-by-pair
-//! statement of the two rules it is checked against.
+//! ([`crate::generators`]). The rules as written, in [`crate::spec`], are
+//! the reference the engine is checked against.
 
 use std::collections::HashMap;
 
-use droidracer_trace::{LockId, Op, OpKind, PostKind, TaskId, ThreadId, Trace, TraceIndex};
+use droidracer_trace::{LockId, Op, OpKind, ThreadId, Trace, TraceIndex};
 
-use crate::bitmatrix::{BitIter, BitMatrix, BitSet};
-use crate::generators::{fifo_delay_ok, Generators, SweepHost};
+use crate::bitmatrix::{BitMatrix, BitSet};
+use crate::generators::{Generators, SweepHost};
 use crate::graph::{DirectEdges, HbGraph, NodeId};
 use crate::robust::{Budget, BudgetExhausted, BudgetReason, Poll};
 use crate::rules::{HbConfig, RuleSet};
@@ -45,19 +45,16 @@ pub struct EngineStats {
     /// Edges added by the instantaneous base rules (and assumed edges).
     pub base_edges: usize,
     /// FIFO firings that produced a new `end(A) ≺ begin(B)` edge. The
-    /// production engines fire only the edges that neither the relation nor
-    /// an earlier firing implies, leaving the rest to TRANS-ST, so this is
-    /// at most what [`HappensBefore::compute_reference`] counts: it fires
-    /// every pair whose guard holds.
+    /// engines fire only the edges that neither the relation nor an earlier
+    /// firing implies, leaving the rest to TRANS-ST, so this is at most the
+    /// number of task pairs whose guard holds.
     pub fifo_fired: usize,
     /// NOPRE firings that produced a new `end(A) ≺ begin(B)` edge, counted
     /// like `fifo_fired`.
     pub nopre_fired: usize,
     /// Same-thread edges derived by TRANS-ST (or, in the naive unrestricted
     /// mode, all edges derived by the plain transitive closure), including
-    /// the generator edges the production engines leave to transitivity.
-    /// `fifo_fired + nopre_fired + trans_st_edges` is the same for every
-    /// engine.
+    /// the generator edges the engines leave to transitivity.
     pub trans_st_edges: usize,
     /// Cross-thread edges derived by TRANS-MT (zero in the naive mode).
     pub trans_mt_edges: usize,
@@ -69,10 +66,10 @@ pub struct EngineStats {
     /// bounds of the rows involved, not whole matrix rows.
     pub word_ops: u64,
     /// Nodes popped off the dirty-propagation worklist in incremental
-    /// rounds (rounds after the first). Zero for the reference engine.
+    /// rounds (rounds after the first).
     pub worklist_pops: u64,
     /// Rows recomputed by saturation: all rows in round one, only dirty
-    /// rows afterwards. Zero for the reference engine.
+    /// rows afterwards.
     pub rows_recomputed: u64,
     /// Words the row bounds allowed saturation to skip — the all-zero
     /// prefix/suffix words a whole-row scan would have touched.
@@ -169,23 +166,13 @@ impl HappensBefore {
         config: HbConfig,
         assumed: &[(usize, usize)],
     ) -> Self {
+        // Anchor the assumed edges precisely: their endpoints must not be
+        // swallowed by access blocks, or the injected edge would order whole
+        // blocks the assumption says nothing about.
+        let breaks: Vec<usize> = assumed.iter().flat_map(|&(i, j)| [i, j]).collect();
+        let graph = HbGraph::build_with_breaks(trace, index, config.merge_accesses, &breaks);
         // invariant: an unlimited budget never exhausts.
-        Self::compute_inner(trace, index, config, assumed, false, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// Computes the relation with the retained naive reference saturation:
-    /// every fixpoint round rescans every row of every matrix, exactly as
-    /// the engine did before the incremental worklist rewrite.
-    ///
-    /// This exists for differential testing (`tests/closure_equivalence.rs`
-    /// asserts the incremental engine's matrices are bit-identical to this
-    /// one's) and is not meant for production use — its `word_ops` grow
-    /// with matrix size instead of with change.
-    pub fn compute_reference(trace: &Trace, config: HbConfig) -> Self {
-        let index = trace.index();
-        // invariant: an unlimited budget never exhausts.
-        Self::compute_inner(trace, &index, config, &[], true, &Budget::unlimited())
+        Self::close_over(trace, index, config, assumed, graph, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust")
     }
 
@@ -203,16 +190,8 @@ impl HappensBefore {
         config: HbConfig,
     ) -> Self {
         // invariant: an unlimited budget never exhausts.
-        Self::close_over(
-            trace,
-            index,
-            config,
-            &[],
-            false,
-            graph,
-            &Budget::unlimited(),
-        )
-        .expect("unlimited budget cannot exhaust")
+        Self::close_over(trace, index, config, &[], graph, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust")
     }
 
     /// Like [`HappensBefore::compute_on_graph`] but under a resource
@@ -233,23 +212,7 @@ impl HappensBefore {
         config: HbConfig,
         budget: &Budget,
     ) -> Result<Self, BudgetExhausted> {
-        Self::close_over(trace, index, config, &[], false, graph, budget)
-    }
-
-    fn compute_inner(
-        trace: &Trace,
-        index: &TraceIndex,
-        config: HbConfig,
-        assumed: &[(usize, usize)],
-        reference: bool,
-        budget: &Budget,
-    ) -> Result<Self, BudgetExhausted> {
-        // Anchor the assumed edges precisely: their endpoints must not be
-        // swallowed by access blocks, or the injected edge would order whole
-        // blocks the assumption says nothing about.
-        let breaks: Vec<usize> = assumed.iter().flat_map(|&(i, j)| [i, j]).collect();
-        let graph = HbGraph::build_with_breaks(trace, index, config.merge_accesses, &breaks);
-        Self::close_over(trace, index, config, assumed, reference, graph, budget)
+        Self::close_over(trace, index, config, &[], graph, budget)
     }
 
     fn close_over(
@@ -257,7 +220,6 @@ impl HappensBefore {
         index: &TraceIndex,
         config: HbConfig,
         assumed: &[(usize, usize)],
-        reference: bool,
         graph: HbGraph,
         budget: &Budget,
     ) -> Result<Self, BudgetExhausted> {
@@ -271,11 +233,7 @@ impl HappensBefore {
         } else {
             1
         };
-        let generators = if reference {
-            Generators::default()
-        } else {
-            Generators::for_graph(index, &graph, config.rules)
-        };
+        let generators = Generators::for_graph(index, &graph, config.rules);
         let bits = n
             .saturating_mul(n)
             .saturating_mul(matrices)
@@ -287,19 +245,8 @@ impl HappensBefore {
                 ops_processed: 0,
             });
         }
-        let mut builder = EngineState::new(
-            trace,
-            index,
-            &graph,
-            config.rules,
-            reference,
-            poll,
-            generators,
-        );
+        let mut builder = EngineState::new(trace, index, &graph, config.rules, poll, generators);
         builder.add_base_edges();
-        if reference {
-            builder.collect_task_pair_candidates();
-        }
         for &(i, j) in assumed {
             assert!(i < j, "assumed edges must point forward");
             let (a, b) = (graph.node_of(i), graph.node_of(j));
@@ -393,20 +340,6 @@ impl HappensBefore {
     }
 }
 
-/// A FIFO/NOPRE candidate of the reference engine: a pair of tasks
-/// executed on the same thread, `first` ending before `second` begins, not
-/// yet derived to be ordered.
-#[derive(Debug, Clone, Copy)]
-struct TaskPairCandidate {
-    end_node: NodeId,
-    begin_node: NodeId,
-    /// Post node + kind of the first task, if posted.
-    post1: Option<(NodeId, PostKind)>,
-    /// Post node + kind of the second task, if posted.
-    post2: Option<(NodeId, PostKind)>,
-    first_task: TaskId,
-}
-
 struct EngineState<'a> {
     trace: &'a Trace,
     index: &'a TraceIndex,
@@ -414,19 +347,8 @@ struct EngineState<'a> {
     rules: RuleSet,
     relation: Relation,
     stats: EngineStats,
-    /// Run the retained whole-matrix reference saturation and pair-wise
-    /// generator rules instead of the incremental worklist and the
-    /// per-looper sweep (differential-testing aid).
-    reference: bool,
-    /// FIFO/NOPRE as one sweep per looper (empty in reference mode).
+    /// FIFO/NOPRE as one sweep per looper.
     generators: Generators,
-    /// Every same-looper task pair, examined each round (reference mode
-    /// only).
-    candidates: Vec<TaskPairCandidate>,
-    /// Candidates that fired or whose conclusion was derived otherwise.
-    candidate_done: Vec<bool>,
-    /// Nodes of each task, used by the reference engine's NOPRE.
-    task_nodes: HashMap<TaskId, Vec<NodeId>>,
     /// Direct same-thread edges — base rules, assumed edges and generator
     /// firings, before any saturation. In `Plain` mode this holds *all*
     /// direct edges (the naive closure does not split by thread).
@@ -454,7 +376,6 @@ impl<'a> EngineState<'a> {
         index: &'a TraceIndex,
         graph: &'a HbGraph,
         rules: RuleSet,
-        reference: bool,
         poll: Poll,
         generators: Generators,
     ) -> Self {
@@ -474,11 +395,7 @@ impl<'a> EngineState<'a> {
             rules,
             relation,
             stats: EngineStats::default(),
-            reference,
             generators,
-            candidates: Vec::new(),
-            candidate_done: Vec::new(),
-            task_nodes: HashMap::new(),
             st_edges: DirectEdges::new(n),
             mt_edges: DirectEdges::new(n),
             dirty_sources: Vec::new(),
@@ -701,56 +618,6 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Enumerates every same-thread task pair for the reference engine's
-    /// pair-wise FIFO/NOPRE.
-    fn collect_task_pair_candidates(&mut self) {
-        if !self.rules.fifo && !self.rules.nopre {
-            return;
-        }
-        for (id, node) in self.graph.nodes().iter().enumerate() {
-            if let Some(task) = node.task {
-                self.task_nodes.entry(task).or_default().push(id);
-            }
-        }
-        // Tasks per executing thread, ordered by begin index.
-        let mut per_thread: HashMap<ThreadId, Vec<(usize, TaskId)>> = HashMap::new();
-        for (task, info) in self.index.tasks() {
-            if let (Some(b), Some(target)) = (info.begin, info.target) {
-                per_thread.entry(target).or_default().push((b, task));
-            }
-        }
-        for tasks in per_thread.values_mut() {
-            tasks.sort_unstable();
-            for i in 0..tasks.len() {
-                let first = tasks[i].1;
-                let first_info = self.index.task(first);
-                let Some(end) = first_info.end else { continue };
-                let post1 = first_info
-                    .post
-                    .map(|p| (self.graph.node_of(p), first_info.post_kind));
-                for &(b2, second) in &tasks[i + 1..] {
-                    // Tasks on one thread run sequentially in a valid trace;
-                    // an overlapping pair has no end-to-begin edge to derive.
-                    if end >= b2 {
-                        continue;
-                    }
-                    let second_info = self.index.task(second);
-                    let post2 = second_info
-                        .post
-                        .map(|p| (self.graph.node_of(p), second_info.post_kind));
-                    self.candidates.push(TaskPairCandidate {
-                        end_node: self.graph.node_of(end),
-                        begin_node: self.graph.node_of(b2),
-                        post1,
-                        post2,
-                        first_task: first,
-                    });
-                }
-            }
-        }
-        self.candidate_done = vec![false; self.candidates.len()];
-    }
-
     /// Runs generator + transitivity to fixpoint, recording per-rule
     /// counters as it goes.
     ///
@@ -759,17 +626,14 @@ impl<'a> EngineState<'a> {
     /// can reach a freshly added generator edge. Every round then sweeps
     /// each looper once. The sweep fires a subset of the edges the
     /// pair-wise rules would fire, and the closure of that subset contains
-    /// the rest, so every round closes to the same relation as the
-    /// reference engine's; the generator edges the sweep leaves out are
-    /// counted under `trans_st_edges` instead of `fifo_fired`/`nopre_fired`.
+    /// the rest, so the fixpoint is the one the rules as written reach; the
+    /// generator edges the sweep leaves out are counted under
+    /// `trans_st_edges` instead of `fifo_fired`/`nopre_fired`.
     fn run_fixpoint(&mut self) -> Result<(), BudgetReason> {
         loop {
             self.stats.rounds += 1;
             let (st0, mt0) = self.relation_sizes();
-            let mut changed = if self.reference {
-                self.dirty_sources.clear();
-                self.saturate_reference()?
-            } else if self.stats.rounds == 1 {
+            let mut changed = if self.stats.rounds == 1 {
                 self.saturate_all()?
             } else {
                 self.saturate_dirty()?
@@ -784,63 +648,15 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Applies FIFO and NOPRE once: the per-looper sweep, or in reference
-    /// mode every pending candidate pair. Returns true if any new edge was
-    /// added.
+    /// Applies FIFO and NOPRE once, as the per-looper sweep. Returns true if
+    /// any new edge was added.
     fn fire_generators(&mut self) -> Result<bool, BudgetReason> {
-        if self.reference {
-            let mut changed = false;
-            for c in 0..self.candidates.len() {
-                changed |= self.examine_candidate(c);
-            }
-            return Ok(changed);
-        }
         let mut generators = std::mem::take(&mut self.generators);
         let fired = generators.sweep_loopers(self);
         self.stats.fifo_fired = generators.fifo_fired;
         self.stats.nopre_fired = generators.nopre_fired;
         self.generators = generators;
         fired
-    }
-
-    /// Evaluates one pending candidate of the reference engine, firing at
-    /// most one edge. A candidate is retired once it fired or its
-    /// conclusion was derived by other rules.
-    fn examine_candidate(&mut self, c: usize) -> bool {
-        if self.candidate_done[c] {
-            return false;
-        }
-        let cand = self.candidates[c];
-        if self.ordered(cand.end_node, cand.begin_node) {
-            self.candidate_done[c] = true;
-            return false;
-        }
-        let mut fifo_fire = false;
-        if self.rules.fifo {
-            if let (Some((p1, k1)), Some((p2, k2))) = (cand.post1, cand.post2) {
-                if fifo_delay_ok(k1, k2, self.rules.delayed_fifo) && self.ordered(p1, p2) {
-                    fifo_fire = true;
-                }
-            }
-        }
-        let mut nopre_fire = false;
-        if !fifo_fire && self.rules.nopre {
-            if let Some((p2, _)) = cand.post2 {
-                if let Some(nodes) = self.task_nodes.get(&cand.first_task) {
-                    nopre_fire = self.any_ordered_to(nodes, p2);
-                }
-            }
-        }
-        if (fifo_fire || nopre_fire) && self.add_edge(cand.end_node, cand.begin_node) {
-            self.candidate_done[c] = true;
-            if fifo_fire {
-                self.stats.fifo_fired += 1;
-            } else {
-                self.stats.nopre_fired += 1;
-            }
-            return true;
-        }
-        false
     }
 
     /// Round one of the incremental engine: recompute every row once, in
@@ -972,86 +788,6 @@ impl<'a> EngineState<'a> {
             }
         }
     }
-
-    /// One full whole-matrix saturation — the pre-rewrite algorithm,
-    /// retained verbatim as the differential-testing reference (its
-    /// `word_ops` still count whole rows per operation). Returns true if
-    /// anything changed.
-    fn saturate_reference(&mut self) -> Result<bool, BudgetReason> {
-        let n = self.graph.node_count();
-        if n == 0 {
-            return Ok(false);
-        }
-        let threads: Vec<ThreadId> = self.graph.nodes().iter().map(|node| node.thread).collect();
-        let row_words = n.div_ceil(64) as u64;
-        match &mut self.relation {
-            Relation::Plain(r) => {
-                let mut changed = false;
-                loop {
-                    let mut pass_changed = false;
-                    for i in (0..n).rev() {
-                        let succs: Vec<usize> = r.iter_row(i).collect();
-                        for j in succs {
-                            pass_changed |= r.or_row_into(j, i);
-                            self.stats.word_ops += row_words;
-                        }
-                        self.poll.check(self.stats.word_ops)?;
-                    }
-                    changed |= pass_changed;
-                    if !pass_changed {
-                        return Ok(changed);
-                    }
-                }
-            }
-            Relation::Restricted { st, mt } => {
-                let words = n.div_ceil(64);
-                let mut full = vec![0u64; words];
-                let mut cand = vec![0u64; words];
-                let mut changed = false;
-                for i in (0..n).rev() {
-                    // TRANS-ST: rows of st-successors are already complete
-                    // (edges point forward, iteration is reverse).
-                    let succs: Vec<usize> = st.iter_row(i).collect();
-                    for j in succs {
-                        changed |= st.or_row_into(j, i);
-                        self.stats.word_ops += row_words;
-                    }
-                    // TRANS-MT: compose the combined relation; only bits on
-                    // threads other than thread(i) may be recorded. Repeat
-                    // until row i stabilizes, because newly derived cross-
-                    // thread bits can enable further compositions.
-                    let mask = self
-                        .graph
-                        .thread_mask(threads[i])
-                        .expect("every node's thread has a mask");
-                    loop {
-                        for (w, f) in full.iter_mut().enumerate() {
-                            *f = st.row(i)[w] | mt.row(i)[w];
-                        }
-                        cand.copy_from_slice(&full);
-                        for j in BitIter::new(&full) {
-                            let (sj, mj) = (st.row(j), mt.row(j));
-                            for w in 0..words {
-                                cand[w] |= sj[w] | mj[w];
-                            }
-                            self.stats.word_ops += row_words;
-                        }
-                        for (c, m) in cand.iter_mut().zip(mask.words()) {
-                            *c &= !*m;
-                        }
-                        self.stats.word_ops += 2 * row_words;
-                        self.poll.check(self.stats.word_ops)?;
-                        if mt.or_words_into(&cand, i) {
-                            changed = true;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                Ok(changed)
-            }
-        }
-    }
 }
 
 impl SweepHost for EngineState<'_> {
@@ -1089,6 +825,7 @@ impl SweepHost for EngineState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Spec;
     use droidracer_trace::{validate, ThreadKind, TraceBuilder};
 
     fn hb(trace: &Trace) -> HappensBefore {
@@ -1689,51 +1426,27 @@ mod tests {
         assert_eq!(replayed, accumulated);
     }
 
-    /// The counter contract between `compute` and the reference: equal
-    /// matrices, base edges, TRANS-MT edges, rounds and relation size; the
-    /// generator edges the sweep leaves to TRANS-ST move from
-    /// `fifo_fired`/`nopre_fired` to `trans_st_edges`, never the other way.
-    fn assert_matches_reference(inc: &HappensBefore, rf: &HappensBefore, context: &str) {
+    /// `hb` orders every op pair of `trace` as the rules as written do
+    /// under `rules`, and its counters partition its relation.
+    fn assert_matches_spec(hb: &HappensBefore, trace: &Trace, rules: RuleSet, context: &str) {
+        let spec = Spec::compute(trace, rules);
+        let (count, first) = spec.disagreements(|i, j| hb.ordered(i, j));
         assert_eq!(
-            inc.relation_matrices(),
-            rf.relation_matrices(),
-            "{context}: matrices"
+            count, 0,
+            "{context}: {count} op pair(s) ordered unlike the spec, first {first:?}"
         );
-        let (i, r) = (inc.stats(), rf.stats());
+        let s = hb.stats();
         assert_eq!(
-            (i.base_edges, i.trans_mt_edges, i.rounds),
-            (r.base_edges, r.trans_mt_edges, r.rounds),
-            "{context}: base edges, TRANS-MT edges, rounds"
+            s.base_edges + s.derived_edges(),
+            hb.ordered_pairs(),
+            "{context}: counters do not partition the relation"
         );
-        assert_eq!(
-            inc.ordered_pairs(),
-            rf.ordered_pairs(),
-            "{context}: relation size"
-        );
-        assert_eq!(
-            i.fifo_fired + i.nopre_fired + i.trans_st_edges,
-            r.fifo_fired + r.nopre_fired + r.trans_st_edges,
-            "{context}: same-thread derived edges"
-        );
-        assert!(
-            i.fifo_fired + i.nopre_fired <= r.fifo_fired + r.nopre_fired,
-            "{context}: the sweep fired more generator edges than the reference"
-        );
-        for (side, hb) in [("compute", inc), ("reference", rf)] {
-            let s = hb.stats();
-            assert_eq!(
-                s.base_edges + s.derived_edges(),
-                hb.ordered_pairs(),
-                "{context}: {side} counters do not partition the relation"
-            );
-        }
     }
 
-    /// The incremental engine and the retained reference saturation derive
-    /// bit-identical matrices under the counter contract (the
-    /// work-accounting counters legitimately differ).
+    /// The engine orders two small traces as the rules as written do, in
+    /// every mode.
     #[test]
-    fn incremental_matches_reference_on_unit_traces() {
+    fn engine_matches_spec_on_unit_traces() {
         let traces = [
             {
                 let mut b = TraceBuilder::new();
@@ -1782,11 +1495,8 @@ mod tests {
                     rules: mode.rule_set(),
                     merge_accesses: true,
                 };
-                let inc = HappensBefore::compute(trace, config);
-                let rf = HappensBefore::compute_reference(trace, config);
-                assert_matches_reference(&inc, &rf, &format!("{mode:?}"));
-                let r = rf.stats();
-                assert_eq!((r.worklist_pops, r.rows_recomputed), (0, 0));
+                let hb = HappensBefore::compute(trace, config);
+                assert_matches_spec(&hb, trace, config.rules, &format!("{mode:?}"));
             }
         }
     }
@@ -1815,51 +1525,39 @@ mod tests {
         b.finish()
     }
 
-    /// Row bounds make saturation cheaper than whole-row scanning: the
-    /// incremental engine's `word_ops` undercut the reference's, and the
-    /// skipped words account for real all-zero prefix/suffix words.
+    /// Row bounds let saturation skip real all-zero prefix/suffix words,
+    /// and the rounds after the first recompute rows from the worklist.
     #[test]
-    fn incremental_word_ops_undercut_reference() {
-        let trace = fifo_chain_trace();
-        let config = HbConfig::new();
-        let inc = HappensBefore::compute(&trace, config);
-        let rf = HappensBefore::compute_reference(&trace, config);
-        assert_eq!(inc.relation_matrices().0, rf.relation_matrices().0);
+    fn incremental_rounds_skip_words_and_use_the_worklist() {
+        let hb = HappensBefore::compute(&fifo_chain_trace(), HbConfig::new());
+        assert!(hb.stats().skipped_words > 0);
         assert!(
-            inc.stats().word_ops < rf.stats().word_ops,
-            "incremental {} !< reference {}",
-            inc.stats().word_ops,
-            rf.stats().word_ops
-        );
-        assert!(inc.stats().skipped_words > 0);
-        assert!(
-            inc.stats().worklist_pops > 0,
+            hb.stats().worklist_pops > 0,
             "later rounds used the worklist"
         );
     }
 
     /// On a looper whose 40 tasks run in posting order, FIFO holds for all
     /// 780 pairs, but each task's edge from its predecessor implies the
-    /// rest by TRANS-ST: the sweep fires 39 edges where the pair-wise
-    /// reference fires 780, and the closed relations are equal.
+    /// rest by TRANS-ST: the sweep fires 39 edges, and the closed relation
+    /// is the one the rules as written reach.
     #[test]
     fn sweep_fires_only_edges_nothing_implies() {
         let trace = fifo_chain_trace();
         let config = HbConfig::new();
-        let inc = HappensBefore::compute(&trace, config);
-        let rf = HappensBefore::compute_reference(&trace, config);
-        assert_eq!(inc.stats().fifo_fired, 39);
-        assert_eq!(rf.stats().fifo_fired, 780);
-        assert_eq!((inc.stats().nopre_fired, rf.stats().nopre_fired), (0, 0));
-        assert_matches_reference(&inc, &rf, "fifo chain");
+        let hb = HappensBefore::compute(&trace, config);
+        assert_eq!(hb.stats().fifo_fired, 39);
+        assert_eq!(hb.stats().nopre_fired, 0);
+        assert_matches_spec(&hb, &trace, config.rules, "fifo chain");
     }
 
     /// A task posted to main but run on another looper (a trace the
     /// validator rejects, which the engine still closes) breaks the
     /// same-thread chain a coverage merge relies on: `end(x) ≺ begin(b)`
     /// does not follow from `end(x) ≺ begin(a)` and `end(a) ≺ begin(b)`
-    /// when `a` runs elsewhere, so the sweep must fire it as the
-    /// reference does.
+    /// when `a` runs elsewhere, so the sweep must fire it itself. (The spec
+    /// groups FIFO by the thread a task runs on, the sweep by its post
+    /// target, so the two part ways on this trace.)
     #[test]
     fn sweep_stays_exact_when_a_task_runs_off_its_looper() {
         let mut b = TraceBuilder::new();
@@ -1884,11 +1582,8 @@ mod tests {
         b.end(main, t);
         let trace = b.finish();
         assert!(validate(&trace).is_err());
-        let config = HbConfig::new();
-        let inc = HappensBefore::compute(&trace, config);
-        let rf = HappensBefore::compute_reference(&trace, config);
-        assert_matches_reference(&inc, &rf, "task off its looper");
-        assert!(inc.ordered(end_x, begin_t));
+        let hb = HappensBefore::compute(&trace, HbConfig::new());
+        assert!(hb.ordered(end_x, begin_t));
     }
 
     #[test]
@@ -2049,13 +1744,9 @@ mod budget_tests {
             err.partial
         );
         assert!(err.partial.word_ops < full.stats().word_ops);
-        // The input is fine — re-running unbudgeted (and via the reference
-        // engine) agrees completely.
+        // The input is fine — re-running unbudgeted agrees completely.
         let again = HappensBefore::compute(&trace, HbConfig::new());
         assert_eq!(again.stats(), full.stats());
-        let reference = HappensBefore::compute_reference(&trace, HbConfig::new());
-        assert_eq!(reference.ordered_pairs(), full.ordered_pairs());
-        assert_eq!(reference.stats().base_edges, full.stats().base_edges);
     }
 
     #[test]
@@ -2136,14 +1827,11 @@ mod budget_tests {
     }
 
     #[test]
-    fn budgeted_reference_engine_also_polls() {
+    fn budgeted_closure_on_a_prebuilt_graph_polls() {
         let trace = busy_trace();
         let index = trace.index();
         let config = HbConfig::new();
         let graph = crate::graph::HbGraph::build(&trace, &index, config.merge_accesses);
-        // The reference saturator goes through the same close_over path only
-        // via compute_reference (unlimited); exercise the budgeted worklist
-        // path on a prebuilt graph instead.
         let err = HappensBefore::compute_on_graph_budgeted(
             &trace,
             &index,

@@ -11,7 +11,10 @@
 //! * race classification into multi-threaded / co-enabled / delayed /
 //!   cross-posted / unknown ([`classify::classify`]);
 //! * the baseline relations of §4.1's "Specializations" used in the
-//!   evaluation ablation ([`rules::HbMode`]).
+//!   evaluation ablation ([`rules::HbMode`]);
+//! * the same relation computed from the rules as written, by a naive
+//!   fixpoint that shares no code with the engine and is the reference its
+//!   tests and the fuzzer check it against ([`spec::Spec`]).
 //!
 //! # Examples
 //!
@@ -73,6 +76,7 @@ mod rules;
 mod service;
 mod session;
 pub mod simd;
+pub mod spec;
 mod stream;
 pub mod vc;
 

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-use droidracer_core::{Analysis, AnalysisBuilder, HbConfig, HbMode, RaceCategory};
+use droidracer_core::spec::Spec;
+use droidracer_core::{Analysis, AnalysisBuilder, HappensBefore, HbConfig, HbMode, RaceCategory};
 use droidracer_trace::{
     validate, MemLoc, PostKind, TaskId, ThreadId, ThreadKind, Trace, TraceBuilder,
 };
@@ -259,6 +260,27 @@ proptest! {
     fn generated_traces_validate(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         let trace = random_valid_trace(&bytes);
         prop_assert_eq!(validate(&trace), Ok(()), "trace:\n{}", trace);
+    }
+
+    /// The engine orders every op pair as the rules as written do, in every
+    /// mode, merged and unmerged, and its counters partition its relation.
+    #[test]
+    fn engine_matches_spec(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let trace = random_valid_trace(&bytes);
+        for mode in HbMode::all() {
+            let spec = Spec::compute(&trace, mode.rule_set());
+            for config in [HbConfig::for_mode(mode), HbConfig::for_mode(mode).without_merging()] {
+                let hb = HappensBefore::compute(&trace, config);
+                let (count, first) = spec.disagreements(|i, j| hb.ordered(i, j));
+                prop_assert_eq!(
+                    count, 0,
+                    "{:?} / merge={}: first pair {:?}\ntrace:\n{}",
+                    mode, config.merge_accesses, first, trace
+                );
+                let s = hb.stats();
+                prop_assert_eq!(s.base_edges + s.derived_edges(), hb.ordered_pairs());
+            }
+        }
     }
 
     /// Node merging is lossless on arbitrary feasible traces.

@@ -1,13 +1,31 @@
 //! Per-rule ablation: for every happens-before rule of Figures 6 and 7 (and
 //! the §4.2 delayed refinement), a minimal trace whose verdict flips when
 //! exactly that rule is disabled — pinning each rule's individual
-//! contribution to precision.
+//! contribution to precision. Each trace also goes through the spec with
+//! the rule on and with it off, so every clause of the spec is pinned on a
+//! trace built to isolate it.
 
-use droidracer_core::{AnalysisBuilder, HbConfig, RuleSet};
+use droidracer_core::spec::Spec;
+use droidracer_core::{AnalysisBuilder, HappensBefore, HbConfig, RuleSet};
 use droidracer_trace::{validate, ThreadKind, Trace, TraceBuilder};
 
 fn races_with(trace: &Trace, rules: RuleSet) -> usize {
     assert_eq!(validate(trace), Ok(()), "ablation traces must be feasible");
+    let spec = Spec::compute(trace, rules);
+    for merge_accesses in [true, false] {
+        let hb = HappensBefore::compute(
+            trace,
+            HbConfig {
+                rules,
+                merge_accesses,
+            },
+        );
+        let (count, first) = spec.disagreements(|i, j| hb.ordered(i, j));
+        assert_eq!(
+            count, 0,
+            "merge={merge_accesses}: engine and spec part ways, first at {first:?}"
+        );
+    }
     AnalysisBuilder::new()
         .config(HbConfig {
             rules,

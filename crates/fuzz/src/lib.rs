@@ -10,9 +10,9 @@
 //!    from a seeded RNG, biased by coverage feedback.
 //! 2. The program runs under `sim` with a seeded random scheduler,
 //!    producing a feasible trace and its decision vector.
-//! 3. [`oracle`] checks the trace against the differential stack:
-//!    incremental vs reference closure, DJIT⁺ vs FastTrack, internal HB
-//!    invariants and the classification partition.
+//! 3. [`oracle`] checks the trace against the oracle stack: the closure
+//!    against the rules as written (`droidracer_core::spec`), DJIT⁺ vs
+//!    FastTrack, internal HB invariants and the classification partition.
 //! 4. The streaming engine re-analyzes the trace online at a seeded
 //!    random chunk size ([`oracle::check_stream`]): streamed ≡ batch.
 //! 5. [`witness`] tries to *manifest* each co-enabled/delayed race by
@@ -283,14 +283,10 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     run_fuzz_with_engines(config, HbConfig::new(), HbConfig::new())
 }
 
-/// Runs a fuzzing session with separate incremental/reference engine
-/// configurations — the hook the injected-mutation self-test uses to prove
-/// each divergence path reachable.
-pub fn run_fuzz_with_engines(
-    config: &FuzzConfig,
-    incremental: HbConfig,
-    reference: HbConfig,
-) -> FuzzReport {
+/// Runs a fuzzing session with separate configurations for the engine and
+/// for the spec it is checked against — the hook the injected-mutation
+/// self-test uses to prove each divergence path reachable.
+pub fn run_fuzz_with_engines(config: &FuzzConfig, engine: HbConfig, spec: HbConfig) -> FuzzReport {
     let start = Instant::now();
     let mut master = SmallRng::seed_from_u64(config.seed);
     let mut coverage = Coverage::new();
@@ -322,7 +318,7 @@ pub fn run_fuzz_with_engines(
         // Everything this iteration needs is drawn from the master RNG in a
         // fixed order, so iteration k is reproducible from the seed alone.
         let bias = bias_from_coverage(&coverage);
-        let spec = generate(&mut master, &config.gen, &bias);
+        let program_spec = generate(&mut master, &config.gen, &bias);
         let sched_seed = master.next_u64();
         let mut witness_rng = SmallRng::seed_from_u64(master.next_u64());
         // Streaming differential parameters, drawn after the seeds above so
@@ -330,7 +326,7 @@ pub fn run_fuzz_with_engines(
         let stream_chunk = 1 + (master.next_u64() % 97) as usize;
         let stream_summarize = master.next_u64() & 1 == 1;
 
-        let program = match spec.lower() {
+        let program = match program_spec.lower() {
             Ok(p) => p,
             Err(e) => {
                 // The generator guarantees lowerable specs; reaching this
@@ -374,16 +370,20 @@ pub fn run_fuzz_with_engines(
         }
         report.total_ops += result.trace.len() as u64;
 
-        let oracle_report = check_trace(&result.trace, incremental, reference);
+        let oracle_report = check_trace(&result.trace, engine, spec);
         report.races_found += oracle_report.races.len() as u64;
-        coverage.record(&features_of(Some(&spec), &result.trace, &oracle_report));
+        coverage.record(&features_of(
+            Some(&program_spec),
+            &result.trace,
+            &oracle_report,
+        ));
 
         let mut divergences = oracle_report.divergences.clone();
 
         // Layer 5: streamed ≡ batch at a seeded random chunk size.
         divergences.extend(oracle::check_stream(
             &result.trace,
-            incremental,
+            engine,
             stream_chunk,
             stream_summarize,
             &oracle_report,
@@ -426,7 +426,7 @@ pub fn run_fuzz_with_engines(
         if !divergences.is_empty() {
             let kinds = divergences.iter().map(|d| d.kind).collect();
             let (shrunk, shrunk_spec) = if config.shrink_failures {
-                match shrink(&spec, sched_seed, incremental, reference, &kinds) {
+                match shrink(&program_spec, sched_seed, engine, spec, &kinds) {
                     Some(r) => (Some(r.trace), Some(r.spec)),
                     None => (None, None),
                 }

@@ -3,15 +3,11 @@
 //! Every feasible trace produced by the fuzzer passes through four layers
 //! (plus the separately-invoked streaming differential, [`check_stream`]):
 //!
-//! 1. **Closure differential** — the incremental worklist engine
-//!    ([`HappensBefore::compute`]) against the retained naive saturation
-//!    ([`HappensBefore::compute_reference`]). The closed `st`/`mt` matrices
-//!    must be bit-identical, and base edges, TRANS-MT edges, rounds and the
-//!    relation size must match exactly. The incremental engine fires only
-//!    the FIFO/NOPRE edges nothing else implies, so FIFO + NOPRE + TRANS-ST
-//!    must match as a sum, its firings may not exceed the reference's, and
-//!    each side's counters must partition its relation. The perf counters
-//!    (`word_ops`, `worklist_pops`, …) may differ.
+//! 1. **Closure against the spec** — the engine ([`HappensBefore::compute`])
+//!    against the rules as written ([`Spec`]), on every trace the Figure 5
+//!    checker accepts. The engine's op-level `ordered(i, j)` must equal the
+//!    spec's on every op pair, and its counters must partition its
+//!    relation.
 //! 2. **Detector differential** — `vc::detect_multithreaded` (DJIT⁺) vs
 //!    `fasttrack::detect`: two independent implementations of the
 //!    multi-threaded restriction must flag the same racy locations.
@@ -19,13 +15,14 @@
 //!    op before a trace-earlier op, and classification partitions the race
 //!    set (category totals equal the race count).
 //!
-//! The incremental and reference engines take *separate* configurations so
-//! the mutation self-test can flip one rule on one side and prove the
-//! harness notices (ISSUE 4 acceptance criterion).
+//! The engine and the spec take *separate* configurations so the mutation
+//! self-test can flip one rule on the engine's side and prove the harness
+//! notices.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+use droidracer_core::spec::Spec;
 use droidracer_core::{classify, detect, fasttrack, vc, HappensBefore, HbConfig};
 use droidracer_core::{CategoryCounts, Race, RaceCategory, StreamOptions, StreamingAnalysis};
 use droidracer_trace::{validate, Trace};
@@ -37,9 +34,9 @@ use droidracer_trace::{validate, Trace};
 pub enum DivergenceKind {
     /// The trace failed the Figure 5 feasibility checker.
     Infeasible,
-    /// Incremental and reference closures disagree on a relation matrix.
+    /// The engine orders some op pair unlike the spec.
     ClosureMatrix,
-    /// Incremental and reference closures disagree on a semantic counter.
+    /// The engine's counters do not partition its relation.
     ClosureStats,
     /// DJIT⁺ and FastTrack flag different racy-location sets.
     VcVsFastTrack,
@@ -97,7 +94,7 @@ pub struct OracleReport {
     pub divergences: Vec<Divergence>,
     /// The cancellation-stripped trace race indices refer to.
     pub stripped: Trace,
-    /// The incremental-engine relation over `stripped`.
+    /// The engine's relation over `stripped`.
     pub hb: HappensBefore,
     /// Races with their §4.3 categories.
     pub races: Vec<(Race, RaceCategory)>,
@@ -114,13 +111,14 @@ impl OracleReport {
 
 /// Runs the full oracle stack over `trace`.
 ///
-/// `incremental` configures the worklist engine, `reference` the naive
-/// saturation; production callers pass the same configuration twice, the
-/// mutation self-test flips one rule on the incremental side.
-pub fn check_trace(trace: &Trace, incremental: HbConfig, reference: HbConfig) -> OracleReport {
+/// `engine` configures [`HappensBefore::compute`], and `spec`'s rules the
+/// [`Spec`]; production callers pass the same configuration twice, the
+/// mutation self-test flips one rule on the engine's side.
+pub fn check_trace(trace: &Trace, engine: HbConfig, spec: HbConfig) -> OracleReport {
     let mut divergences = Vec::new();
 
-    if let Err(e) = validate(trace) {
+    let feasible = validate(trace);
+    if let Err(e) = &feasible {
         divergences.push(Divergence {
             kind: DivergenceKind::Infeasible,
             detail: format!("{e}"),
@@ -128,9 +126,11 @@ pub fn check_trace(trace: &Trace, incremental: HbConfig, reference: HbConfig) ->
     }
 
     let stripped = trace.without_cancelled();
-    let hb = HappensBefore::compute(&stripped, incremental);
-    let refc = HappensBefore::compute_reference(&stripped, reference);
-    divergences.extend(closure_differential(&hb, &refc));
+    let hb = HappensBefore::compute(&stripped, engine);
+    if feasible.is_ok() {
+        let spec = Spec::compute(&stripped, spec.rules);
+        divergences.extend(closure_against_spec(&hb, &spec));
+    }
     divergences.extend(detector_differential(&stripped));
     divergences.extend(relation_invariants(&stripped, &hb));
 
@@ -262,75 +262,32 @@ pub fn check_stream(
     out
 }
 
-/// Layer 1: incremental vs reference closure, bit for bit.
-fn closure_differential(inc: &HappensBefore, refc: &HappensBefore) -> Vec<Divergence> {
+/// Layer 1: the engine against the rules as written, op pair by op pair,
+/// and the engine's counters against its own relation.
+fn closure_against_spec(hb: &HappensBefore, spec: &Spec) -> Vec<Divergence> {
     let mut out = Vec::new();
-    let (ip, im) = inc.relation_matrices();
-    let (rp, rm) = refc.relation_matrices();
-    if ip != rp {
+    let (count, first) = spec.disagreements(|i, j| hb.ordered(i, j));
+    if let Some((i, j)) = first {
+        let (in_engine, in_spec) = (hb.ordered(i, j), spec.ordered(i, j));
         out.push(Divergence {
             kind: DivergenceKind::ClosureMatrix,
             detail: format!(
-                "st/plain matrix differs: incremental has {} set bits, reference {}",
-                ip.count_ones(),
-                rp.count_ones()
+                "{count} op pair(s) ordered unlike the spec; first: op {i} ≺ op {j} is \
+                 {in_engine} in the engine, {in_spec} in the spec"
             ),
         });
     }
-    if im != rm {
-        out.push(Divergence {
-            kind: DivergenceKind::ClosureMatrix,
-            detail: format!(
-                "mt matrix differs: incremental has {:?} set bits, reference {:?}",
-                im.map(|m| m.count_ones()),
-                rm.map(|m| m.count_ones())
-            ),
-        });
-    }
-    let (i, r) = (inc.stats(), refc.stats());
-    // The sweep leaves implied generator edges to TRANS-ST, so FIFO, NOPRE
-    // and TRANS-ST compare as a sum; the firings alone may only fall short.
-    let counters = [
-        ("base_edges", i.base_edges, r.base_edges),
-        ("trans_mt_edges", i.trans_mt_edges, r.trans_mt_edges),
-        ("rounds", i.rounds, r.rounds),
-        ("ordered_pairs", inc.ordered_pairs(), refc.ordered_pairs()),
-        (
-            "fifo_fired + nopre_fired + trans_st_edges",
-            i.fifo_fired + i.nopre_fired + i.trans_st_edges,
-            r.fifo_fired + r.nopre_fired + r.trans_st_edges,
-        ),
-    ];
-    for (name, a, b) in counters {
-        if a != b {
-            out.push(Divergence {
-                kind: DivergenceKind::ClosureStats,
-                detail: format!("{name}: incremental {a} != reference {b}"),
-            });
-        }
-    }
-    let (fired, ref_fired) = (i.fifo_fired + i.nopre_fired, r.fifo_fired + r.nopre_fired);
-    if fired > ref_fired {
+    let s = hb.stats();
+    if s.base_edges + s.derived_edges() != hb.ordered_pairs() {
         out.push(Divergence {
             kind: DivergenceKind::ClosureStats,
             detail: format!(
-                "fifo_fired + nopre_fired: incremental {fired} > reference {ref_fired}"
+                "base {} + derived {} != ordered pairs {}",
+                s.base_edges,
+                s.derived_edges(),
+                hb.ordered_pairs()
             ),
         });
-    }
-    for (side, hb) in [("incremental", inc), ("reference", refc)] {
-        let s = hb.stats();
-        if s.base_edges + s.derived_edges() != hb.ordered_pairs() {
-            out.push(Divergence {
-                kind: DivergenceKind::ClosureStats,
-                detail: format!(
-                    "{side}: base {} + derived {} != ordered pairs {}",
-                    s.base_edges,
-                    s.derived_edges(),
-                    hb.ordered_pairs()
-                ),
-            });
-        }
     }
     out
 }
@@ -423,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_flip_is_caught_by_closure_differential() {
+    fn rule_flip_is_caught_by_the_spec() {
         let mutated = HbConfig {
             rules: RuleSet {
                 fork: false,

@@ -32,23 +32,23 @@ pub struct ShrinkResult {
     pub rounds: usize,
 }
 
-/// Runs `spec` under the deterministic scheduler seed and returns the trace
-/// plus the divergence kinds it triggers under `(incremental, reference)`.
+/// Runs `candidate` under the deterministic scheduler seed and returns the
+/// trace plus the divergence kinds it triggers under `(engine, spec)`.
 fn probe(
-    spec: &ProgramSpec,
+    candidate: &ProgramSpec,
     sched_seed: u64,
-    incremental: HbConfig,
-    reference: HbConfig,
+    engine: HbConfig,
+    spec: HbConfig,
 ) -> Option<(Trace, BTreeSet<DivergenceKind>)> {
-    let program = spec.lower().ok()?;
+    let program = candidate.lower().ok()?;
     let mut sched = RandomScheduler::from_rng(SmallRng::seed_from_u64(sched_seed));
     let result = run(&program, &mut sched, &SimConfig { max_steps: 20_000 }).ok()?;
-    let report = check_trace(&result.trace, incremental, reference);
+    let report = check_trace(&result.trace, engine, spec);
     let kinds = report.divergences.iter().map(|d| d.kind).collect();
     Some((result.trace, kinds))
 }
 
-/// Minimizes `spec` while a divergence kind in `target` still fires.
+/// Minimizes `program_spec` while a divergence kind in `target` still fires.
 ///
 /// `sched_seed` must be the seed of the random scheduler that produced the
 /// original failure; replaying it keeps the search deterministic. Returns
@@ -56,15 +56,15 @@ fn probe(
 /// a witness-replay failure, which only manifests during schedule search,
 /// not when re-checking the trace.
 pub fn shrink(
-    spec: &ProgramSpec,
+    program_spec: &ProgramSpec,
     sched_seed: u64,
-    incremental: HbConfig,
-    reference: HbConfig,
+    engine: HbConfig,
+    spec: HbConfig,
     target: &BTreeSet<DivergenceKind>,
 ) -> Option<ShrinkResult> {
     let (best, (best_trace, best_kinds), rounds) =
-        shrink_with(spec, &|candidate: &ProgramSpec| {
-            let (trace, kinds) = probe(candidate, sched_seed, incremental, reference)?;
+        shrink_with(program_spec, &|candidate: &ProgramSpec| {
+            let (trace, kinds) = probe(candidate, sched_seed, engine, spec)?;
             kinds
                 .iter()
                 .any(|k| target.contains(k))
@@ -294,8 +294,8 @@ mod tests {
 
     #[test]
     fn shrink_strips_noise_while_preserving_the_divergence() {
-        // Flip the FORK rule on the incremental side only: every trace with
-        // a fork edge diverges from the reference.
+        // Flip the FORK rule on the engine's side only: every trace with a
+        // fork edge diverges from the spec.
         let mutated = HbConfig {
             rules: RuleSet {
                 fork: false,

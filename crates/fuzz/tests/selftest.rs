@@ -3,9 +3,9 @@
 //! the harness (a) notices, (b) shrinks a counterexample to ≤ 25 trace ops
 //! that still reproduces the divergence standalone.
 //!
-//! Each case flips a single [`RuleSet`] switch on the *incremental* side
-//! only, leaving the reference saturation correct — the differential layer
-//! must then flag any trace exercising the rule.
+//! Each case flips a single [`RuleSet`] switch on the *engine's* side only,
+//! leaving the spec (the rules as written) correct — the closure layer must
+//! then flag any trace exercising the rule.
 
 use droidracer_core::{HbConfig, RuleSet};
 use droidracer_fuzz::oracle::{check_trace, DivergenceKind};

@@ -46,7 +46,9 @@
 //! budget exhausted; 3 — fatal (usage error, unreadable input, internal
 //! failure).
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use droidracer::apps;
 use droidracer::core::JobSpec;
@@ -69,6 +71,46 @@ const EXIT_RACES: u8 = 1;
 const EXIT_QUARANTINE: u8 = 2;
 /// The run itself failed: bad usage, unreadable input, internal error.
 const EXIT_FATAL: u8 = 3;
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout's reader has gone: later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout, the one way this tool prints a result. A
+/// closed pipe (`droidracer analyze t.trace | head -1`) ends the output
+/// quietly and the command still exits with the code it computed; any
+/// other write error is fatal.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        stdout_failed(e);
+    }
+}
+
+/// Handles a failed write or flush of stdout: see [`write_stdout`].
+fn stdout_failed(e: std::io::Error) {
+    if e.kind() == ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    } else {
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(EXIT_FATAL.into());
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -363,11 +405,11 @@ fn cmd_analyze(path: &str, opts: &AnalyzeOpts) -> Result<ExitCode, Error> {
     rec.counter("races", analysis.representatives().len() as u64);
     rec.end();
     rec.end();
-    print!("{out}");
+    out!("{out}");
 
     if let Some(file) = &opts.dot_file {
         std::fs::write(file, droidracer::core::to_dot(&analysis))?;
-        println!("happens-before graph written to {file}");
+        outln!("happens-before graph written to {file}");
     }
     if let Some(file) = &opts.profile_file {
         let root = rec.finish_root();
@@ -375,8 +417,8 @@ fn cmd_analyze(path: &str, opts: &AnalyzeOpts) -> Result<ExitCode, Error> {
             file,
             chrome_trace(std::slice::from_ref(&root), &analysis.metrics()),
         )?;
-        print!("{}", render_span_tree(&root));
-        println!("profile written to {file}");
+        out!("{}", render_span_tree(&root));
+        outln!("profile written to {file}");
     }
     Ok(if analysis.races().is_empty() {
         ExitCode::from(EXIT_CLEAN)
@@ -438,22 +480,24 @@ fn cmd_corpus_analyze(opts: &CorpusAnalyzeOpts) -> ExitCode {
             Ok(report) => {
                 let found = report.analysis.representatives().len();
                 races += found;
-                println!(
+                outln!(
                     "{:<16} ok: {} representative race(s), reported {}",
-                    entry.name, found, report.reported
+                    entry.name,
+                    found,
+                    report.reported
                 );
             }
             Err(q) => {
                 quarantines += 1;
                 eprintln!("{q}");
-                println!("{:<16} QUARANTINED [{}]", entry.name, q.cause);
+                outln!("{:<16} QUARANTINED [{}]", entry.name, q.cause);
                 if opts.fail_fast {
                     break;
                 }
             }
         }
     }
-    println!(
+    outln!(
         "corpus: {} entries, {races} race(s), {quarantines} quarantined",
         results.len()
     );
@@ -550,7 +594,7 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
                 }
             }
         }
-        println!("regressions: {clean}/{} clean ({dir})", replays.len());
+        outln!("regressions: {clean}/{} clean ({dir})", replays.len());
     }
 
     let mut rec = Recorder::new();
@@ -560,7 +604,7 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
     rec.counter("trace_ops", report.total_ops);
     rec.counter("races", report.races_found);
     rec.end();
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.oracle_divergences() > 0 {
         failed = true;
     }
@@ -570,7 +614,7 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
             if let Some(shrunk) = &f.shrunk {
                 let name = format!("seed_{:x}_iter_{}", f.master_seed, f.iteration);
                 let path = save_regression(std::path::Path::new(dir), &name, shrunk)?;
-                println!("shrunk failing trace written to {}", path.display());
+                outln!("shrunk failing trace written to {}", path.display());
             }
         }
     }
@@ -580,8 +624,8 @@ fn cmd_fuzz(opts: &FuzzOpts) -> Result<ExitCode, Error> {
         report.export_metrics(&mut metrics);
         let root = rec.finish_root();
         std::fs::write(file, chrome_trace(std::slice::from_ref(&root), &metrics))?;
-        print!("{}", render_span_tree(&root));
-        println!("profile written to {file}");
+        out!("{}", render_span_tree(&root));
+        outln!("profile written to {file}");
     }
 
     Ok(if failed {
@@ -597,9 +641,13 @@ fn cmd_explore(
     profile: Option<&str>,
 ) -> Result<ExitCode, Error> {
     let (summary, span) = entry.explore_profiled(depth, 64, 1)?;
-    println!(
+    outln!(
         "{}: {} tests (depth {depth}), {} manifested races; {} racy locations; union {}",
-        entry.name, summary.tests, summary.racy_tests, summary.racy_locations, summary.union
+        entry.name,
+        summary.tests,
+        summary.racy_tests,
+        summary.racy_locations,
+        summary.union
     );
     if let Some(file) = profile {
         let mut metrics = MetricsRegistry::new();
@@ -607,8 +655,8 @@ fn cmd_explore(
         metrics.counter_add("explore.racy_tests", summary.racy_tests as u64);
         metrics.counter_add("explore.racy_locations", summary.racy_locations as u64);
         std::fs::write(file, chrome_trace(std::slice::from_ref(&span), &metrics))?;
-        print!("{}", render_span_tree(&span));
-        println!("profile written to {file}");
+        out!("{}", render_span_tree(&span));
+        outln!("profile written to {file}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -731,10 +779,10 @@ fn cmd_stream(path: &str, opts: &StreamOpts) -> Result<ExitCode, Error> {
                     for ev in &events {
                         match ev {
                             StreamEvent::Emitted(e) => {
-                                print!("{}", render_stream_event('+', e, names))
+                                out!("{}", render_stream_event('+', e, names))
                             }
                             StreamEvent::Retracted(e) => {
-                                print!("{}", render_stream_event('-', e, names))
+                                out!("{}", render_stream_event('-', e, names))
                             }
                         }
                     }
@@ -787,13 +835,13 @@ fn cmd_stream(path: &str, opts: &StreamOpts) -> Result<ExitCode, Error> {
     if !opts.quiet {
         for ev in &report.outcome.events {
             match ev {
-                StreamEvent::Emitted(e) => print!("{}", render_stream_event('+', e, &names)),
-                StreamEvent::Retracted(e) => print!("{}", render_stream_event('-', e, &names)),
+                StreamEvent::Emitted(e) => out!("{}", render_stream_event('+', e, &names)),
+                StreamEvent::Retracted(e) => out!("{}", render_stream_event('-', e, &names)),
             }
         }
     }
     let s = report.outcome.stats;
-    println!(
+    outln!(
         "{} race(s) in {} op(s), {} chunk(s); emitted={} retracted={} late={} rebuilds={} retired_rows={}{}",
         report.outcome.races.len(),
         s.ops,
@@ -808,7 +856,7 @@ fn cmd_stream(path: &str, opts: &StreamOpts) -> Result<ExitCode, Error> {
     for cat in droidracer::core::RaceCategory::all() {
         let n = report.outcome.counts.get(cat);
         if n > 0 {
-            println!("  {cat}: {n}");
+            outln!("  {cat}: {n}");
         }
     }
     if let Some(file) = &opts.profile_file {
@@ -816,8 +864,8 @@ fn cmd_stream(path: &str, opts: &StreamOpts) -> Result<ExitCode, Error> {
             file,
             chrome_trace(std::slice::from_ref(&report.spans), &report.metrics),
         )?;
-        print!("{}", render_span_tree(&report.spans));
-        println!("profile written to {file}");
+        out!("{}", render_span_tree(&report.spans));
+        outln!("profile written to {file}");
     }
     Ok(if report.outcome.races.is_empty() {
         ExitCode::from(EXIT_CLEAN)
@@ -919,7 +967,7 @@ fn cmd_serve(opts: ServeOpts) -> ExitCode {
     };
     match bound {
         Ok((server, addr)) => {
-            println!(
+            outln!(
                 "listening on {addr} ({} shard(s))",
                 opts.config.shards.max(1)
             );
@@ -1076,12 +1124,12 @@ fn cmd_submit(opts: &SubmitOpts) -> Result<ExitCode, Error> {
     .with_retry_policy(opts.retry_policy())?;
     let path = match &opts.action {
         SubmitAction::Status => {
-            print!("{}", client.status()?);
+            out!("{}", client.status()?);
             return Ok(ExitCode::from(EXIT_CLEAN));
         }
         SubmitAction::Shutdown => {
             client.shutdown()?;
-            println!("server shut down");
+            outln!("server shut down");
             return Ok(ExitCode::from(EXIT_CLEAN));
         }
         SubmitAction::Job(path) => path,
@@ -1089,8 +1137,8 @@ fn cmd_submit(opts: &SubmitOpts) -> Result<ExitCode, Error> {
     let text = std::fs::read_to_string(path)?;
     match client.submit_trace(&opts.spec, &text)? {
         Submission::Done { cache_hit, report } => {
-            println!("cache {}", if cache_hit { "hit" } else { "miss" });
-            print!("{}", report.render());
+            outln!("cache {}", if cache_hit { "hit" } else { "miss" });
+            out!("{}", report.render());
             Ok(ExitCode::from(report.exit.code()))
         }
         Submission::Rejected { reason } => {
@@ -1108,6 +1156,16 @@ fn cmd_submit(opts: &SubmitOpts) -> Result<ExitCode, Error> {
 }
 
 fn main() -> ExitCode {
+    let code = run();
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) {
+        if let Err(e) = std::io::stdout().flush() {
+            stdout_failed(e);
+        }
+    }
+    code
+}
+
+fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         return usage();
@@ -1134,7 +1192,7 @@ fn main() -> ExitCode {
             };
             match load(path).map(|t| validate(&t)) {
                 Ok(Ok(())) => {
-                    println!("ok: trace satisfies the concurrency semantics");
+                    outln!("ok: trace satisfies the concurrency semantics");
                     ExitCode::from(EXIT_CLEAN)
                 }
                 Ok(Err(e)) => {
@@ -1153,7 +1211,7 @@ fn main() -> ExitCode {
             };
             match load(path) {
                 Ok(t) => {
-                    println!("{}", TraceStats::of(&t));
+                    outln!("{}", TraceStats::of(&t));
                     ExitCode::from(EXIT_CLEAN)
                 }
                 Err(e) => {
@@ -1193,9 +1251,9 @@ fn main() -> ExitCode {
                         eprintln!("cannot write {file}: {e}");
                         return ExitCode::from(EXIT_FATAL);
                     }
-                    println!("wrote {} ops to {file}", trace.len());
+                    outln!("wrote {} ops to {file}", trace.len());
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
                 _ => return usage(),
             }
             ExitCode::from(EXIT_CLEAN)

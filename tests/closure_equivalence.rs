@@ -1,80 +1,71 @@
-//! Differential suite for the incremental worklist closure engine.
+//! The closure engine against the rules as written, and every closure
+//! entry point against `compute`.
 //!
-//! The engine (sparse row-bounded bit-matrices, a dirty-node worklist and
-//! one FIFO/NOPRE sweep per looper) is a pure performance change: for every
-//! trace and every rule configuration the closed `st`/`mt` matrices must be
-//! *bit-identical* to the retained naive reference saturation with its
-//! pair-wise generator rules ([`HappensBefore::compute_reference`]). Base
-//! edges, TRANS-MT edges, rounds and the relation size must match exactly.
-//! The sweep fires only the generator edges nothing else implies and leaves
-//! the rest to TRANS-ST, so per rule the counters differ: the sum
-//! `fifo_fired + nopre_fired + trans_st_edges` must match, the firings may
-//! only fall short of the reference's, and on each side the counters must
-//! partition the relation. These tests pin that contract on the 15-app
-//! corpus, on every `HbMode`, and on proptest-generated random
-//! applications.
+//! [`Spec`] computes the happens-before relation from the rules of Figures
+//! 6 and 7, FIFO, NOPRE and the §4.2 delay refinement as written, by a naive
+//! fixpoint over trace operations that shares no code with the engine: no
+//! node merging, no trace index, no base-edge builder, no sweep and no delay
+//! table. It is the reference. [`HappensBefore::compute`]'s op-level
+//! `ordered(i, j)` must equal the spec's on every op pair, in every
+//! `HbMode`, merged and unmerged, and the engine's counters must partition
+//! its relation. These tests pin that on the component corpus, on Aard
+//! Dictionary and on proptest-generated random applications. The spec costs
+//! `O(n³/64)` per round, so the larger corpus apps are left to
+//! `stream_equivalence`, which holds the column engine's matrices to the
+//! row engine's on all 15.
 //!
 //! Every other public closure entry point — over a prebuilt graph, budgeted,
 //! with assumed edges, and through the session API — must reproduce
 //! [`HappensBefore::compute`] bit for bit, every counter included: there is
-//! one closure path, and this suite pins it to the spec.
+//! one closure path.
 
 use proptest::prelude::*;
 
-use droidracer::apps::corpus;
-use droidracer::core::{AnalysisBuilder, Budget, HappensBefore, HbConfig, HbGraph, HbMode};
+use droidracer::apps::{component_corpus, corpus};
+use droidracer::core::spec::Spec;
+use droidracer::core::{
+    AnalysisBuilder, Budget, HappensBefore, HbConfig, HbGraph, HbMode, RuleSet,
+};
 use droidracer::framework::{compile, App, AppBuilder, Stmt, UiEvent, UiEventKind};
 use droidracer::sim::{run, RandomScheduler, SimConfig};
-use droidracer::trace::Trace;
+use droidracer::trace::{from_text, Trace};
 
-/// Asserts the incremental engine reproduces the reference saturation on
-/// `trace` under `config`, bit for bit, and that every other entry point
-/// reproduces the incremental engine.
-fn assert_closure_equivalent(trace: &Trace, config: HbConfig, context: &str) {
+const AARD_TRACE: &str = include_str!("data/aard_dictionary.trace");
+
+/// Asserts `compute`, merged and unmerged, orders every op pair of `trace`
+/// as the spec does under `rules`, and that its counters partition its
+/// relation.
+fn assert_matches_spec(trace: &Trace, rules: RuleSet, context: &str) {
     let trace = trace.without_cancelled();
-    let incremental = HappensBefore::compute(&trace, config);
-    let reference = HappensBefore::compute_reference(&trace, config);
-    let (inc_primary, inc_mt) = incremental.relation_matrices();
-    let (ref_primary, ref_mt) = reference.relation_matrices();
-    assert_eq!(
-        inc_primary, ref_primary,
-        "{context}: st/plain matrix differs from reference"
-    );
-    assert_eq!(
-        inc_mt, ref_mt,
-        "{context}: mt matrix differs from reference"
-    );
-    let (i, r) = (incremental.stats(), reference.stats());
-    assert_eq!(i.base_edges, r.base_edges, "{context}: base edges");
-    assert_eq!(i.trans_mt_edges, r.trans_mt_edges, "{context}: TRANS-MT");
-    assert_eq!(i.rounds, r.rounds, "{context}: fixpoint rounds");
-    assert_eq!(
-        incremental.ordered_pairs(),
-        reference.ordered_pairs(),
-        "{context}: relation size"
-    );
-    assert_eq!(
-        i.fifo_fired + i.nopre_fired + i.trans_st_edges,
-        r.fifo_fired + r.nopre_fired + r.trans_st_edges,
-        "{context}: FIFO + NOPRE + TRANS-ST"
-    );
-    assert!(
-        i.fifo_fired + i.nopre_fired <= r.fifo_fired + r.nopre_fired,
-        "{context}: generator firings {} + {} exceed the reference's {} + {}",
-        i.fifo_fired,
-        i.nopre_fired,
-        r.fifo_fired,
-        r.nopre_fired
-    );
-    for (side, hb) in [("incremental", &incremental), ("reference", &reference)] {
+    let spec = Spec::compute(&trace, rules);
+    for merge_accesses in [true, false] {
+        let hb = HappensBefore::compute(
+            &trace,
+            HbConfig {
+                rules,
+                merge_accesses,
+            },
+        );
+        let (count, first) = spec.disagreements(|i, j| hb.ordered(i, j));
+        assert_eq!(
+            count, 0,
+            "{context} / merge={merge_accesses}: {count} op pair(s) ordered unlike the spec, \
+             first {first:?}"
+        );
         let s = hb.stats();
         assert_eq!(
             s.base_edges + s.derived_edges(),
             hb.ordered_pairs(),
-            "{context}: {side} counters do not partition the relation"
+            "{context} / merge={merge_accesses}: counters do not partition the relation"
         );
     }
+}
 
+/// Asserts every other closure entry point reproduces `compute` on `trace`
+/// under `config`: the same matrices and the same stats.
+fn assert_entry_points_reproduce_compute(trace: &Trace, config: HbConfig, context: &str) {
+    let trace = trace.without_cancelled();
+    let hb = HappensBefore::compute(&trace, config);
     let index = trace.index();
     let graph = || HbGraph::build(&trace, &index, config.merge_accesses);
     let on_graph = HappensBefore::compute_on_graph(&trace, &index, graph(), config);
@@ -91,64 +82,67 @@ fn assert_closure_equivalent(trace: &Trace, config: HbConfig, context: &str) {
         .config(config)
         .analyze(&trace)
         .expect("infallible without validation");
-    for (entry, hb) in [
+    for (entry, other) in [
         ("compute_on_graph", &on_graph),
         ("compute_on_graph_budgeted", &budgeted),
         ("compute_with_assumed_edges", &assumed),
         ("AnalysisBuilder::analyze", analysis.hb()),
     ] {
         assert_eq!(
+            other.relation_matrices(),
             hb.relation_matrices(),
-            incremental.relation_matrices(),
             "{context}: {entry} matrices differ from compute"
         );
-        assert_eq!(hb.stats(), incremental.stats(), "{context}: {entry} stats");
+        assert_eq!(other.stats(), hb.stats(), "{context}: {entry} stats");
     }
 }
 
-/// Every corpus app, analyzed under the production configuration, closes to
-/// the same relation as the reference engine.
-#[test]
-fn corpus_matches_reference_in_full_mode() {
-    for entry in corpus() {
-        let trace = entry.generate_trace().expect("corpus entries generate");
-        assert_closure_equivalent(&trace, HbConfig::new(), entry.name);
-    }
-}
-
-/// All five rule presets agree with the reference. The whole-matrix
-/// reference saturation scales with n² per round, so the all-modes sweep
-/// runs on the corpus apps whose graphs stay small enough for five
-/// reference closures in a debug build; the full-size apps are covered in
-/// `corpus_matches_reference_in_full_mode` and by the CI word-ops budget.
+/// The seven component-corpus apps match the spec in every configuration.
 #[test]
 fn corpus_matches_reference_in_every_mode() {
-    let mut checked = 0usize;
-    for entry in corpus() {
+    for entry in component_corpus() {
         let trace = entry.generate_trace().expect("corpus entries generate");
-        if trace.len() > 25_000 {
-            continue;
-        }
         for mode in HbMode::all() {
-            let config = HbConfig {
-                rules: mode.rule_set(),
-                merge_accesses: true,
-            };
-            assert_closure_equivalent(&trace, config, &format!("{} / {mode:?}", entry.name));
+            assert_matches_spec(
+                &trace,
+                mode.rule_set(),
+                &format!("{} / {mode:?}", entry.name),
+            );
         }
-        checked += 1;
     }
-    assert!(checked >= 5, "mode sweep must cover several corpus apps");
 }
 
-/// The unmerged graph (every op its own node) exercises much larger
-/// matrices per op; one corpus app suffices to cover merge_accesses=false.
+/// Aard Dictionary (1,343 ops) matches the spec in every configuration.
 #[test]
-fn unmerged_graph_matches_reference() {
-    let entry = &corpus()[0];
-    let trace = entry.generate_trace().expect("corpus entries generate");
+fn aard_dictionary_matches_reference() {
+    let trace = from_text(AARD_TRACE).expect("the golden trace parses");
+    for mode in HbMode::all() {
+        assert_matches_spec(
+            &trace,
+            mode.rule_set(),
+            &format!("Aard Dictionary / {mode:?}"),
+        );
+    }
+}
+
+/// Every closure entry point reproduces `compute` on all 15 corpus apps in
+/// every mode, and on Aard Dictionary unmerged.
+#[test]
+fn corpus_entry_points_reproduce_compute() {
+    for entry in corpus() {
+        let trace = entry.generate_trace().expect("corpus entries generate");
+        for mode in HbMode::all() {
+            let config = HbConfig::for_mode(mode);
+            assert_entry_points_reproduce_compute(
+                &trace,
+                config,
+                &format!("{} / {mode:?}", entry.name),
+            );
+        }
+    }
+    let trace = from_text(AARD_TRACE).expect("the golden trace parses");
     let config = HbConfig::new().without_merging();
-    assert_closure_equivalent(&trace, config, &format!("{} unmerged", entry.name));
+    assert_entry_points_reproduce_compute(&trace, config, "Aard Dictionary unmerged");
 }
 
 /// The service front door delegates to `AnalysisBuilder`: submitting a
@@ -264,8 +258,8 @@ fn simulate(bytes: &[u8], seed: u64) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random traces close identically under every rule preset, merged and
-    /// unmerged.
+    /// Random traces match the spec, and every entry point reproduces
+    /// `compute`, under every rule preset, merged and unmerged.
     #[test]
     fn random_traces_match_reference(
         bytes in proptest::collection::vec(any::<u8>(), 0..48),
@@ -273,16 +267,11 @@ proptest! {
     ) {
         let trace = simulate(&bytes, seed);
         for mode in HbMode::all() {
-            for merge in [true, false] {
-                let config = HbConfig {
-                    rules: mode.rule_set(),
-                    merge_accesses: merge,
-                };
-                assert_closure_equivalent(
-                    &trace,
-                    config,
-                    &format!("fuzz seed {seed} / {mode:?} / merge={merge}"),
-                );
+            let context = format!("fuzz seed {seed} / {mode:?}");
+            assert_matches_spec(&trace, mode.rule_set(), &context);
+            for config in [HbConfig::for_mode(mode), HbConfig::for_mode(mode).without_merging()] {
+                let context = format!("{context} / merge={}", config.merge_accesses);
+                assert_entry_points_reproduce_compute(&trace, config, &context);
             }
         }
     }

@@ -227,6 +227,36 @@ fn any_job_spec() -> impl Strategy<Value = JobSpec> {
         )
 }
 
+/// A closed stdout ends the CLI's output, not the process: with the pipe's
+/// read end gone before the command writes, each command still exits with
+/// the code it computed, and nothing panics.
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_process() {
+    let bin = env!("CARGO_BIN_EXE_droidracer");
+    let aard = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/aard_dictionary.trace"
+    );
+    let commands: [(&[&str], i32); 4] = [
+        (&["analyze", aard], 1),
+        (&["validate", aard], 0),
+        (&["stats", aard], 0),
+        (&["corpus", "Aard Dictionary"], 0),
+    ];
+    for (args, code) in commands {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
